@@ -30,7 +30,7 @@ from .errors import (
     SingularBlockError,
     UnsupportedLossError,
 )
-from .seeding import derive_seed
+from .seeding import MAX_SEED, derive_seed
 
 THREADS_ENV = "BLOCKPREC_THREADS"
 
@@ -39,125 +39,129 @@ _TAG_LABELS = 101
 _TAG_LINEAR = 102
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as InvalidArgumentError, so main() prints one line and exits 2."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 def _add_common(p, needs_seed=True):
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--seed", type=int,
                    help="base seed; mandatory, there is no wall-clock seeding"
                    if needs_seed else "ignored (kept for config-file symmetry)")
-    p.add_argument("--out", type=str, default=argparse.SUPPRESS,
+    p.add_argument("--out", type=str,
                    help="output path prefix")
-    p.add_argument("--threads", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV, "1"),
                    help=f"worker threads (default: ${THREADS_ENV} or 1)")
-    p.add_argument("--config", type=str, default=argparse.SUPPRESS,
+    p.add_argument("--config", type=str,
                    help="JSON file supplying any flag; explicit flags override it")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockprec",
         description="Block-diagonal preconditioned descent and its spectral analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic curvature matrix")
-    p.add_argument("--kind", choices=["uniform", "separable", "randomcorr"],
-                   default=argparse.SUPPRESS)
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--kind", choices=["uniform", "separable", "randomcorr"])
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int,
                    help="number of blocks (separable kind only)")
-    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--factor", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--factor", action="store_true",
                    help="also write the symmetric square root A with A^T A = Q")
     _add_common(p)
 
     p = sub.add_parser("spectral", help="eigenvalue distribution across partitionings")
-    p.add_argument("--q", type=str, default=argparse.SUPPRESS,
+    p.add_argument("--q", type=str,
                    help="matrix file written by gen")
-    p.add_argument("--dataset", type=str, default=argparse.SUPPRESS,
+    p.add_argument("--dataset", type=str,
                    help="LIBSVM file; uses Q = A^T A + lambda-reg I")
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--samples", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--exact", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--k", type=int)
+    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--exact", action="store_true",
                    help="enumerate all partitionings instead of sampling")
-    p.add_argument("--closed-form", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--closed-form", action="store_true",
                    help="include closed-form values (uniform-kind matrices only)")
-    p.add_argument("--lambda-reg", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--normalize", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--lambda-reg", type=float, default=1.0)
+    p.add_argument("--normalize", action="store_true",
                    help="scale dataset columns to unit L2 norm first")
     _add_common(p)
 
     p = sub.add_parser("solve", help="run preconditioned descent and emit traces")
-    p.add_argument("--objective", choices=["quadratic", "ridge", "logistic"],
-                   default=argparse.SUPPRESS)
-    p.add_argument("--q", type=str, default=argparse.SUPPRESS)
-    p.add_argument("--dataset", type=str, default=argparse.SUPPRESS)
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--objective", choices=["quadratic", "ridge", "logistic"])
+    p.add_argument("--q", type=str)
+    p.add_argument("--dataset", type=str)
+    p.add_argument("--k", type=int)
     p.add_argument("--scheme", choices=["static", "dynamic", "both"],
-                   default=argparse.SUPPRESS)
+                   default="both")
     p.add_argument("--model", choices=list(objectives.CURVATURE_MODELS),
-                   default=argparse.SUPPRESS)
-    p.add_argument("--step", choices=["fixed", "armijo"], default=argparse.SUPPRESS)
-    p.add_argument("--eta", type=float, default=argparse.SUPPRESS,
+                   default=objectives.EXACT_HESSIAN)
+    p.add_argument("--step", choices=["fixed", "armijo"], default="fixed")
+    p.add_argument("--eta", type=float,
                    help="fixed step size (default 1/K)")
-    p.add_argument("--c1", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--shrink", type=float, default=argparse.SUPPRESS)
-    p.add_argument("--max-backtracks", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--t", type=int, default=argparse.SUPPRESS, help="iteration budget")
-    p.add_argument("--repeats", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--reg", type=float, default=argparse.SUPPRESS,
+    p.add_argument("--c1", type=float, default=0.3)
+    p.add_argument("--shrink", type=float, default=0.5)
+    p.add_argument("--max-backtracks", type=int, default=50)
+    p.add_argument("--t", type=int, default=50, help="iteration budget")
+    p.add_argument("--repeats", type=int, default=1)
+    p.add_argument("--reg", type=float, default=0.0,
                    help="L2 regularization weight lambda")
-    p.add_argument("--jitter", type=float, default=argparse.SUPPRESS,
+    p.add_argument("--jitter", type=float, default=0.0,
                    help="diagonal jitter added to blocks before factorization")
-    p.add_argument("--normalize", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--normalize", action="store_true",
                    help="scale dataset columns to unit L2 norm first")
     _add_common(p)
 
     p = sub.add_parser("sweep", help="closed-form rates over a (K, alpha) grid")
-    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--k-grid", type=str, default=argparse.SUPPRESS,
+    p.add_argument("--n", type=int)
+    p.add_argument("--k-grid", type=str,
                    help="comma-separated block counts, each dividing n")
-    p.add_argument("--alpha-grid", type=str, default=argparse.SUPPRESS,
+    p.add_argument("--alpha-grid", type=str,
                    help="comma-separated correlation strengths in [0, 1)")
     _add_common(p, needs_seed=False)
 
     return parser
 
 
-_DEFAULTS = {
-    "gen": {"kind": None, "n": None, "k": None, "alpha": None, "factor": False},
-    "spectral": {"q": None, "dataset": None, "k": None, "samples": 1000,
-                 "exact": False, "closed_form": False, "lambda_reg": 1.0,
-                 "normalize": False},
-    "solve": {"objective": None, "q": None, "dataset": None, "k": None,
-              "scheme": "both", "model": objectives.EXACT_HESSIAN,
-              "step": "fixed", "eta": None, "c1": 0.3, "shrink": 0.5,
-              "max_backtracks": 50, "t": 50, "repeats": 1, "reg": 0.0,
-              "jitter": 0.0, "normalize": False},
-    "sweep": {"n": None, "k_grid": None, "alpha_grid": None},
-}
+def _parse(parser, argv):
+    """Parse argv with the flags of its --config JSON file placed in front of it.
 
-_COMMON_DEFAULTS = {"seed": None, "out": None, "threads": None, "config": None}
-
-
-def _merge_config(args):
-    """Fill unset flags from --config JSON, then from hard defaults."""
-    ns = vars(args)
-    merged = dict(_DEFAULTS[args.command])
-    merged.update(_COMMON_DEFAULTS)
-    config_path = ns.get("config")
-    if config_path is not None:
-        with open(config_path, "r", encoding="utf-8") as fh:
+    Config values thus pass the same argparse types as flags, explicit
+    flags override them, and $BLOCKPREC_THREADS is the --threads default.
+    """
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise LibsvmParseError(f"bad JSON config {config_path}: {exc}") from None
+                raise LibsvmParseError(f"bad JSON config {args.config}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise InvalidArgumentError(f"config {args.config} must hold a JSON object")
+        tokens = []
         for key, value in loaded.items():
-            key = key.replace("-", "_")
-            if key not in merged:
+            flag = "--" + key.replace("_", "-")
+            if key.replace("-", "_") not in vars(args) or key == "command":
                 raise InvalidArgumentError(
                     f"config key {key!r} is not a flag of the {args.command} subcommand")
-            merged[key] = value
-    merged.update({k: v for k, v in ns.items() if k != "command"})
-    merged["command"] = args.command
-    return argparse.Namespace(**merged)
+            if value is True:
+                tokens.append(flag)
+            elif value is not False and value is not None:
+                tokens.append(f"{flag}={value}")
+        try:
+            args = parser.parse_args(
+                [args.command, *tokens, *argv[argv.index(args.command) + 1:]])
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"config {args.config}: {exc}") from None
+    if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+        raise InvalidArgumentError(f"--seed must lie in [0, 2^64), got {args.seed}")
+    if args.threads < 1:
+        raise InvalidArgumentError(
+            f"--threads (or ${THREADS_ENV}) must be positive, got {args.threads}")
+    return args
 
 
 def _require(args, *names):
@@ -165,16 +169,6 @@ def _require(args, *names):
         if getattr(args, name) is None:
             flag = "--" + name.replace("_", "-")
             raise InvalidArgumentError(f"{flag} is required for '{args.command}'")
-
-
-def _threads(args):
-    if args.threads is not None:
-        value = args.threads
-    else:
-        value = int(os.environ.get(THREADS_ENV, "1"))
-    if value < 1:
-        raise InvalidArgumentError(f"threads must be positive, got {value}")
-    return value
 
 
 def _ensure_parent(path):
@@ -212,15 +206,11 @@ def _load_spectral_matrix(args):
     if (args.q is None) == (args.dataset is None):
         raise InvalidArgumentError("exactly one of --q or --dataset is required")
     if args.q is not None:
-        q, meta = data.load_q(args.q)
-        return q, meta
+        return data.load_q(args.q)
     ds = data.read_libsvm(args.dataset)
     if args.normalize:
         ds = data.normalize_columns(ds)
-    gram = ds.a.T @ ds.a
-    gram = np.asarray(gram.todense() if hasattr(gram, "todense") else gram, dtype=float)
-    gram = 0.5 * (gram + gram.T)
-    q = gram + args.lambda_reg * np.eye(ds.n_features)
+    q = objectives.gram_matrix(ds.a) + args.lambda_reg * np.eye(ds.n_features)
     return q, {"kind": "dataset", "path": args.dataset, "lambda_reg": args.lambda_reg}
 
 
@@ -235,7 +225,7 @@ def cmd_spectral(args, argv):
         closed = spectral.uniform_closed_form(q.shape[0], args.k, float(meta["alpha"]))
     report = spectral.build_report(q, args.k, n_samples=args.samples, seed=args.seed,
                                    exact=args.exact, closed_form=closed,
-                                   threads=_threads(args))
+                                   threads=args.threads)
     _ensure_parent(args.out)
     with open(args.out + ".json", "w", encoding="ascii") as fh:
         report.write_json(fh)
@@ -297,7 +287,6 @@ def cmd_solve(args, argv):
         step = solver.ArmijoStep(args.c1, args.shrink, args.max_backtracks)
     schemes = [args.scheme] if args.scheme in (solver.STATIC, solver.DYNAMIC) \
         else [solver.STATIC, solver.DYNAMIC]
-    threads = _threads(args)
     invocation = _invocation(argv)
     _ensure_parent(args.out)
     for scheme in schemes:
@@ -305,7 +294,7 @@ def cmd_solve(args, argv):
             k_blocks=args.k, scheme=scheme, seed=args.seed, n_iters=args.t,
             model=args.model, step=step, repeats=args.repeats, jitter=args.jitter)
         try:
-            traces = solver.run_repeats(obj, config, threads=threads)
+            traces = solver.run_repeats(obj, config, threads=args.threads)
         except DivergenceError as exc:
             if exc.trace is not None:
                 _write_scheme_outputs(args.out, scheme, config, [exc.trace], invocation)
@@ -353,9 +342,8 @@ _COMMANDS = {"gen": cmd_gen, "spectral": cmd_spectral, "solve": cmd_solve,
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _parse(parser, argv)
         return _COMMANDS[args.command](args, argv)
     except (SingularBlockError, DivergenceError, LineSearchError) as exc:
         print(f"blockprec: numerical failure: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse
 from scipy.special import expit
 
-from .errors import InvalidArgumentError, UnsupportedLossError
+from .errors import BlockprecError, InvalidArgumentError, UnsupportedLossError
 from .partition import check_symmetric_matrix
 
 EXACT_HESSIAN = "exact_hessian"
@@ -31,6 +31,20 @@ LOSS_GAMMA = {SQUARED: 1.0, LOGISTIC: 0.25}
 LOSS_MU = {SQUARED: 1.0, LOGISTIC: None}
 
 
+def gram_matrix(a):
+    """Dense symmetrized A^T A of a dense array or scipy.sparse matrix A."""
+    gram = a.T @ a
+    gram = np.asarray(gram.todense() if scipy.sparse.issparse(gram) else gram, dtype=float)
+    return 0.5 * (gram + gram.T)
+
+
+def _check_x(x, n):
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise InvalidArgumentError(f"x has shape {x.shape}, expected ({n},)")
+    return x
+
+
 def _check_model(model):
     if model not in CURVATURE_MODELS:
         raise InvalidArgumentError(
@@ -46,41 +60,32 @@ class Quadratic:
         if self.c.shape != (self.h.shape[0],):
             raise InvalidArgumentError(
                 f"c has shape {self.c.shape}, expected ({self.h.shape[0]},)")
-        lam_min = np.linalg.eigvalsh(self.h)[0]
-        if lam_min <= 0.0:
-            raise InvalidArgumentError(
-                f"H must be positive definite (lambda_min = {lam_min:.3e})")
-        self._optimum = None
+        try:
+            factor = scipy.linalg.cho_factor(self.h, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError:
+            raise InvalidArgumentError("H must be positive definite") from None
+        x_star = scipy.linalg.cho_solve(factor, self.c, check_finite=False)
+        self._optimum = (x_star, float(self.value(x_star)))
 
     @property
     def n(self) -> int:
         return self.c.size
 
-    def _check_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidArgumentError(f"x has shape {x.shape}, expected ({self.n},)")
-        return x
-
     def value(self, x) -> float:
-        x = self._check_x(x)
+        x = _check_x(x, self.n)
         return 0.5 * x @ (self.h @ x) - self.c @ x
 
     def gradient(self, x):
-        x = self._check_x(x)
+        x = _check_x(x, self.n)
         return self.h @ x - self.c
 
     def curvature(self, x, model=EXACT_HESSIAN):
-        self._check_x(x)
+        _check_x(x, self.n)
         _check_model(model)
         return self.h
 
     def optimum(self):
-        """Minimizer and minimum value, via one dense SPD solve."""
-        if self._optimum is None:
-            factor = scipy.linalg.cho_factor(self.h, lower=True, check_finite=False)
-            x_star = scipy.linalg.cho_solve(factor, self.c, check_finite=False)
-            self._optimum = (x_star, float(self.value(x_star)))
+        """Minimizer and minimum value, from the Cholesky factor that validated H."""
         return self._optimum
 
     def suboptimality(self, x) -> float:
@@ -90,7 +95,7 @@ class Quadratic:
         cancellation of subtracting two nearly equal objective values.
         """
         x_star, _ = self.optimum()
-        d = self._check_x(x) - x_star
+        d = _check_x(x, self.n) - x_star
         return 0.5 * float(d @ (self.h @ d))
 
 
@@ -131,27 +136,17 @@ class Glm:
     def m(self) -> int:
         return self.a.shape[0]
 
-    def _check_x(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise InvalidArgumentError(f"x has shape {x.shape}, expected ({self.n},)")
-        return x
-
     def _margins(self, x):
         return np.asarray(self.a @ x, dtype=float).ravel()
 
     def gram(self):
         """Dense A^T A, computed once."""
         if self._gram is None:
-            if scipy.sparse.issparse(self.a):
-                self._gram = np.asarray((self.a.T @ self.a).todense(), dtype=float)
-            else:
-                self._gram = self.a.T @ self.a
-            self._gram = 0.5 * (self._gram + self._gram.T)
+            self._gram = gram_matrix(self.a)
         return self._gram
 
     def value(self, x) -> float:
-        x = self._check_x(x)
+        x = _check_x(x, self.n)
         v = self._margins(x)
         reg = 0.5 * self.lam * float(x @ x)
         if self.loss == SQUARED:
@@ -161,7 +156,7 @@ class Glm:
         return float(np.sum(np.logaddexp(0.0, -self.y * v))) + reg
 
     def gradient(self, x):
-        x = self._check_x(x)
+        x = _check_x(x, self.n)
         v = self._margins(x)
         if self.loss == SQUARED:
             g = np.asarray(self.a.T @ (v - self.y), dtype=float).ravel()
@@ -176,7 +171,7 @@ class Glm:
         return self.a.T @ (weights[:, None] * self.a)
 
     def curvature(self, x, model=EXACT_HESSIAN):
-        x = self._check_x(x)
+        x = _check_x(x, self.n)
         _check_model(model)
         reg = self.lam * np.eye(self.n)
         if self.loss == SQUARED:
@@ -192,8 +187,8 @@ class Glm:
 
         Squared loss uses the closed-form SPD solve of the normal
         equations. Logistic loss (lambda > 0 required) runs a damped
-        Newton reference solve down to gradient norm 1e-12 and caches the
-        result.
+        Newton reference solve down to the rounding resolution of f and
+        caches the result.
         """
         if self._optimum is None:
             if self.loss == SQUARED:
@@ -215,33 +210,35 @@ class Glm:
             self._optimum = (x_star, float(self.value(x_star)))
         return self._optimum
 
-    def _newton_reference(self, grad_tol=1e-12, max_iter=200):
+    def _newton_reference(self, rtol=1e-14, max_iter=200):
+        # Near the optimum f(x) - f* is about half the Newton decrement
+        # g^T H^{-1} g. Once that is below rtol * |f|, which f cannot resolve
+        # (or no damped step lowers f any more, which happens only there),
+        # one last full step is taken.
         x = np.zeros(self.n)
         fx = self.value(x)
         for _ in range(max_iter):
             g = self.gradient(x)
-            if np.linalg.norm(g) <= grad_tol:
-                return x
             h = self.curvature(x, EXACT_HESSIAN)
             factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
             step = scipy.linalg.cho_solve(factor, g, check_finite=False)
+            if float(g @ step) <= rtol * max(1.0, abs(fx)):
+                return x - step
             t = 1.0
             for _ in range(60):
-                x_new = x - t * step
-                f_new = self.value(x_new)
-                if f_new <= fx:
+                f_new = self.value(x - t * step)
+                if f_new < fx:
                     break
                 t *= 0.5
-            x, fx = x_new, f_new
-        g = self.gradient(x)
-        if np.linalg.norm(g) <= grad_tol:
-            return x
-        raise UnsupportedLossError(
-            f"Newton reference solve stalled at gradient norm {np.linalg.norm(g):.3e}")
+            else:
+                return x - step
+            x, fx = x - t * step, f_new
+        raise BlockprecError(
+            f"Newton reference solve did not converge in {max_iter} iterations")
 
     def suboptimality(self, x) -> float:
         """f(x) - f*, via the error quadratic form for squared loss."""
-        x = self._check_x(x)
+        x = _check_x(x, self.n)
         x_star, f_star = self.optimum()
         if self.loss == SQUARED:
             d = x - x_star

@@ -25,18 +25,26 @@ def check_symmetric_matrix(q, tol=SYMMETRY_TOL):
     """Validate a dense symmetric matrix and return it as a float64 array.
 
     Requires a square 2-d array with finite entries that is symmetric
-    within absolute tolerance ``tol``. The entries are returned unchanged;
-    no silent symmetrization happens here.
+    within ``tol`` relative to its scale, max |Q - Q^T| <= tol * max(1, max |Q|),
+    so unit-scale matrices see the absolute tolerance ``tol``. The entries
+    are returned unchanged; no silent symmetrization happens here.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise InvalidArgumentError("matrix has non-finite entries")
-    skew = np.max(np.abs(q - q.T)) if q.size else 0.0
-    if skew > tol:
-        raise InvalidArgumentError(f"matrix is not symmetric: max |Q - Q^T| = {skew:.3e}")
+    _check_entries(q, tol, "matrix")
     return q
+
+
+def _check_entries(q, tol, what):
+    """Raise unless square ``q`` is finite and symmetric within tol * max(1, max |q|)."""
+    scale = np.abs(q).max(initial=0.0)
+    if not np.isfinite(scale):
+        raise InvalidArgumentError(f"{what} has non-finite entries")
+    skew = np.abs(q - q.T).max(initial=0.0)
+    if skew > tol * max(1.0, scale):
+        raise InvalidArgumentError(f"{what} is not symmetric: max |Q - Q^T| = {skew:.3e} "
+                                   f"exceeds {tol:g} * max(1, max |Q| = {scale:.3e})")
 
 
 @dataclass(frozen=True)
@@ -160,16 +168,16 @@ def enumerate_partitions(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP):
 
 
 def _check_dims(q, part):
-    q = check_symmetric_matrix(q)
-    if q.shape[0] != part.n:
+    q = np.asarray(q, dtype=float)
+    if q.shape != (part.n, part.n):
         raise InvalidArgumentError(
-            f"matrix order {q.shape[0]} does not match partitioning over {part.n} coordinates")
+            f"matrix of shape {q.shape} does not match partitioning over {part.n} coordinates")
     return q
 
 
 def block_mask(q, part: Partitioning):
     """Block-diagonal version of ``q``: entry (i, j) survives iff i and j share a block."""
-    q = _check_dims(q, part)
+    q = _check_dims(check_symmetric_matrix(q), part)
     same = part.assignment[:, None] == part.assignment[None, :]
     return np.where(same, q, 0.0)
 
@@ -185,6 +193,7 @@ class BlockCholesky:
     """
 
     def __init__(self, q, part: Partitioning, jitter: float = 0.0):
+        # Only the diagonal blocks are read, so only they are checked here.
         q = _check_dims(q, part)
         if jitter < 0:
             raise InvalidArgumentError("jitter must be non-negative")
@@ -194,6 +203,7 @@ class BlockCholesky:
         self._factors = []
         for k, idx in enumerate(self._blocks):
             block = q[np.ix_(idx, idx)]
+            _check_entries(block, SYMMETRY_TOL, f"block {k}")
             if jitter:
                 block = block + jitter * np.eye(idx.size)
             try:
@@ -228,7 +238,7 @@ class BlockCholesky:
         The result is similar to Q_P^{-1} Q, so it has the same spectrum,
         but it is symmetric (up to roundoff) and safe for ``eigvalsh``.
         """
-        q = _check_dims(q, self.part)
+        q = _check_dims(check_symmetric_matrix(q), self.part)
         y = np.empty_like(q)
         for idx, lower in zip(self._blocks, self._factors):
             y[idx, :] = scipy.linalg.solve_triangular(

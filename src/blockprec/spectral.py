@@ -24,6 +24,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidArgumentError, SingularBlockError, UnsupportedLossError
+from .objectives import gram_matrix
 from .partition import (
     DEFAULT_ENUMERATION_CAP,
     BlockCholesky,
@@ -51,6 +52,11 @@ def precond_spectrum(q, part: Partitioning, jitter: float = 0.0):
 def lambda_min_precond(q, part: Partitioning, jitter: float = 0.0) -> float:
     """Smallest eigenvalue of Q_P^{-1} Q."""
     return float(precond_spectrum(q, part, jitter=jitter)[0])
+
+
+def _lambda_min(chol, q) -> float:
+    """lambda_min(Q_P^{-1} Q) from an existing factorization of Q_P."""
+    return float(np.linalg.eigvalsh(chol.whiten(q))[0])
 
 
 def lambda_min_of_expected(expected_inverse, q) -> float:
@@ -96,8 +102,6 @@ def expected_inverse_mc(q, k_blocks: int, n_samples: int, seed: int, threads: in
     q = check_symmetric_matrix(q)
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be at least 1")
-    if k_blocks < 1 or k_blocks > q.shape[0]:
-        raise InvalidArgumentError(f"k_blocks must lie in [1, {q.shape[0]}]")
     n = q.shape[0]
 
     def inverse_for(i):
@@ -135,14 +139,25 @@ def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int, threads: int
     return value, stderr
 
 
-def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Exact mean of Q_P^{-1} over all equal-size partitionings."""
-    q = check_symmetric_matrix(q)
+def _exact_mean_inverse(q, k_blocks, cap, lambdas=None):
+    """Mean of Q_P^{-1} over all equal-size partitionings of a validated Q.
+
+    With a list ``lambdas``, each lambda_min(Q_P^{-1} Q) is appended to it
+    from the same factorization, in enumeration order.
+    """
     parts = enumerate_partitions(q.shape[0], k_blocks, cap=cap)
     total = np.zeros_like(q)
     for part in parts:
-        total += BlockCholesky(q, part).inverse()
+        chol = BlockCholesky(q, part)
+        if lambdas is not None:
+            lambdas.append(_lambda_min(chol, q))
+        total += chol.inverse()
     return total / len(parts)
+
+
+def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP):
+    """Exact mean of Q_P^{-1} over all equal-size partitionings."""
+    return _exact_mean_inverse(check_symmetric_matrix(q), k_blocks, cap)
 
 
 def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -236,12 +251,15 @@ def separable_toy(alpha: float) -> SeparableToy:
 
 def _expected_inverse(q, k_blocks, scheme, partitioning, mc_samples, seed, exact, cap,
                       threads):
+    """E[Q_P^{-1}] of a validated Q: the static/exact/MC dispatch all rates share."""
+    if scheme not in SCHEMES:
+        raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if scheme == STATIC:
         if partitioning is None:
             raise InvalidArgumentError("the static scheme needs an explicit partitioning")
         return BlockCholesky(q, partitioning).inverse()
     if exact:
-        return expected_inverse_exact(q, k_blocks, cap=cap)
+        return _exact_mean_inverse(q, k_blocks, cap)
     return expected_inverse_mc(q, k_blocks, mc_samples, seed, threads=threads)[0]
 
 
@@ -254,17 +272,10 @@ def rate_quadratic(q, k_blocks: int, scheme: str, partitioning: Partitioning | N
     uses lambda_min(E[Q_P^{-1}] Q) with the expectation taken by full
     enumeration (``exact``) or Monte Carlo.
     """
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     q = check_symmetric_matrix(q)
-    if scheme == STATIC:
-        if partitioning is None:
-            raise InvalidArgumentError("the static scheme needs an explicit partitioning")
-        return lambda_min_precond(q, partitioning) / k_blocks
-    if exact:
-        return expected_lambda_exact(q, k_blocks, cap=cap) / k_blocks
-    value, _ = expected_lambda_mc(q, k_blocks, mc_samples, seed, threads=threads)
-    return value / k_blocks
+    expected = _expected_inverse(q, k_blocks, scheme, partitioning,
+                                 mc_samples, seed, exact, cap, threads)
+    return lambda_min_of_expected(expected, q) / k_blocks
 
 
 def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme: str,
@@ -282,14 +293,12 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme:
     if mu_loss is None:
         raise UnsupportedLossError(
             "no curvature-floor constant is known for this loss; rate unavailable")
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     if lambda_shift < 0.0:
         raise InvalidArgumentError("lambda_shift must be non-negative")
-    dense_a = np.asarray(a.todense()) if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
-    m_rows, n = dense_a.shape
-    gram = dense_a.T @ dense_a
-    gram = 0.5 * (gram + gram.T)
+    if not scipy.sparse.issparse(a):
+        a = np.asarray(a, dtype=float)
+    m_rows, n = a.shape
+    gram = gram_matrix(a)
     shifted = gram + lambda_shift * np.eye(n) if lambda_shift else gram
     try:
         expected = _expected_inverse(shifted, k_blocks, scheme, partitioning,
@@ -299,7 +308,7 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme:
             exc.block, f"{exc}; pass lambda_shift > 0 to regularize the masked blocks"
         ) from exc
     if m_rows <= n:
-        prod = dense_a @ expected @ dense_a.T
+        prod = np.asarray(a @ (a @ expected).T)
         lam = float(np.linalg.eigvalsh(0.5 * (prod + prod.T))[0])
     else:
         lam = lambda_min_of_expected(expected, gram)
@@ -323,8 +332,6 @@ def rate_general(q, k_blocks: int, params: GeneralModelParams, scheme: str,
     Also reports the induced contraction factor 1 - rho (1 - alpha)/L.
     Reporting only; nothing here is enforced on solver runs.
     """
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     q = check_symmetric_matrix(q)
     expected = _expected_inverse(q, k_blocks, scheme, partitioning,
                                  mc_samples, seed, exact, cap, threads)
@@ -417,21 +424,17 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     q = check_symmetric_matrix(q)
     n = q.shape[0]
     if exact:
-        parts = enumerate_partitions(n, k_blocks, cap=cap)
-        samples = [SpectralSample(i, lambda_min_precond(q, p))
-                   for i, p in enumerate(parts)]
-        total = np.zeros_like(q)
-        for p in parts:
-            total += BlockCholesky(q, p).inverse()
-        value = lambda_min_of_expected(total / len(parts), q)
-        return SpectralReport(n, k_blocks, samples, value, "exact", len(parts), None,
+        lambdas = []
+        value = lambda_min_of_expected(_exact_mean_inverse(q, k_blocks, cap, lambdas), q)
+        samples = [SpectralSample(i, lam) for i, lam in enumerate(lambdas)]
+        return SpectralReport(n, k_blocks, samples, value, "exact", len(samples), None,
                               closed_form)
     violin_seed = derive_seed(seed, 0)
     mc_seed = derive_seed(seed, 1)
     keys = [derive_seed(violin_seed, i) for i in range(n_samples)]
 
     def lam_for(key):
-        return lambda_min_precond(q, sample_uniform_partition(n, k_blocks, key))
+        return _lambda_min(BlockCholesky(q, sample_uniform_partition(n, k_blocks, key)), q)
 
     values = list(_map_ordered(lam_for, keys, threads))
     samples = [SpectralSample(k, v) for k, v in zip(keys, values)]

@@ -307,3 +307,40 @@ class TestConfigFile:
                 "--seed", 0, "--out", qfile)
         assert run_cli("spectral", "--q", str(qfile) + ".q", "--k", 2,
                        "--samples", 5, "--seed", 0, "--out", tmp_path / "rep") == 0
+
+
+class TestExitContract:
+    """Bad environment, config and seed values exit 2 with one line on stderr."""
+
+    @staticmethod
+    def assert_one_line_exit_2(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("blockprec: invalid arguments: ")
+
+    def spectral_args(self, tmp_path):
+        qfile = tmp_path / "u"
+        run_cli("gen", "--kind", "uniform", "--n", 8, "--alpha", 0.1,
+                "--seed", 0, "--out", qfile)
+        return ["spectral", "--q", str(qfile) + ".q", "--samples", 5,
+                "--out", tmp_path / "rep"]
+
+    def test_non_integer_env_threads(self, tmp_path, monkeypatch, capsys):
+        args = self.spectral_args(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setenv("BLOCKPREC_THREADS", "abc")
+        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", 0), capsys)
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        args = self.spectral_args(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": "two"}))
+        self.assert_one_line_exit_2(run_cli(*args, "--seed", 0, "--config", cfg), capsys)
+
+    @pytest.mark.parametrize("seed", [2**128, 2**64, -1])
+    def test_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        args = self.spectral_args(tmp_path)
+        capsys.readouterr()
+        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", seed), capsys)

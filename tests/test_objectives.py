@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 
 from blockprec import (
@@ -185,6 +186,21 @@ class TestLogistic:
         assert abs(f1 - f2) <= 1e-10
         assert np.linalg.norm(first.gradient(x1)) <= 1e-12
         assert np.linalg.norm(x1 - x2) <= 1e-10
+
+    def test_optimum_at_large_scale_stops_at_rounding_floor(self):
+        # entries ~1e3 put the rounding floor of the gradient above 1e-12,
+        # so an absolute gradient tolerance can never be met
+        rng = np.random.default_rng(0)
+        a = 1e3 * rng.standard_normal((400, 10))
+        y = np.where(rng.standard_normal(400) + a[:, 0] / 1e3 > 0, 1.0, -1.0)
+        obj = logistic(a, y, lam=1.0)
+        x_star, f_star = obj.optimum()
+        assert np.linalg.norm(obj.gradient(x_star)) <= 1e-12 * np.linalg.norm(
+            obj.gradient(np.zeros(obj.n)))
+        oracle = scipy.optimize.minimize(obj.value, x_star + 1e-3, jac=obj.gradient,
+                                         method="BFGS", options={"gtol": 1e-9})
+        assert f_star <= oracle.fun + 1e-12 * abs(f_star)
+        assert f_star == pytest.approx(oracle.fun, rel=1e-10)
 
 
 class TestGradientOracle:

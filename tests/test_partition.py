@@ -13,6 +13,7 @@ from blockprec import (
     Partitioning,
     SingularBlockError,
     block_mask,
+    check_symmetric_matrix,
     enumerate_partitions,
     partition_count,
     sample_uniform_partition,
@@ -157,6 +158,38 @@ class TestBlockMask:
         q = np.array([[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(InvalidArgumentError):
             block_mask(q, part)
+
+    def test_symmetry_tolerance_is_relative_to_scale(self):
+        # rounding in g diag(d) g^T can leave an asymmetry above 1e-10 at
+        # entry scale 1e6; the tolerance is 1e-10 * max(1, max |Q|)
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((200, 200))
+        check_symmetric_matrix(g @ np.diag(rng.uniform(1.0, 1e4, 200)) @ g.T)
+        q = 1e6 * random_spd(6, rng)
+        rounded, skewed = q.copy(), q.copy()
+        rounded[0, 1] += 1e-15 * np.max(np.abs(q))
+        skewed[0, 1] += 1e-9 * np.max(np.abs(q))
+        part = Partitioning(np.zeros(6, dtype=int), 1)
+        np.testing.assert_array_equal(check_symmetric_matrix(rounded), rounded)
+        BlockCholesky(rounded, part)
+        with pytest.raises(InvalidArgumentError):
+            check_symmetric_matrix(skewed)
+        with pytest.raises(InvalidArgumentError):
+            BlockCholesky(skewed, part)
+
+    def test_block_cholesky_checks_only_the_blocks_it_reads(self):
+        q = np.eye(4)
+        q[0, 2] = 0.5  # coordinates 0 and 2 lie in different blocks
+        part = Partitioning(np.array([0, 0, 1, 1]), 2)
+        np.testing.assert_array_equal(BlockCholesky(q, part).solve(np.ones(4)), np.ones(4))
+        with pytest.raises(InvalidArgumentError):
+            BlockCholesky(q, part).whiten(q)
+        q[0, 1] = 0.5
+        with pytest.raises(InvalidArgumentError):
+            BlockCholesky(q, part)
+        q[0, 1] = q[1, 0] = np.nan
+        with pytest.raises(InvalidArgumentError):
+            BlockCholesky(q, part)
 
 
 class TestBlockSolve:

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from blockprec import (
     BlockCholesky,
@@ -265,6 +266,9 @@ class TestRates:
         assert "lambda_shift" in str(excinfo.value)
         rho = rate_glm(a, 1.0, 1.0, 2, "dynamic", mc_samples=5, seed=0, lambda_shift=1.0)
         assert np.isfinite(rho) and rho > 0.0
+        sparse_rho = rate_glm(scipy.sparse.csr_matrix(a), 1.0, 1.0, 2, "dynamic",
+                              mc_samples=5, seed=0, lambda_shift=1.0)
+        assert sparse_rho == pytest.approx(rho, rel=1e-12)
 
     def test_glm_real_dataset_baseline(self):
         # regression baseline, first computed by this implementation: only
@@ -360,6 +364,23 @@ class TestReport:
         b = build_report(q, 4, n_samples=24, seed=9, threads=4)
         assert a.lambda_min_expected == b.lambda_min_expected
         assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
+
+    def test_one_factorization_per_partitioning(self, monkeypatch):
+        import blockprec.spectral as spectral
+        built = []
+
+        class CountingCholesky(BlockCholesky):
+            def __init__(self, *args, **kwargs):
+                built.append(args[1])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(spectral, "BlockCholesky", CountingCholesky)
+        q = gen_uniform_q(6, 0.3)
+        report = build_report(q, 2, exact=True)
+        assert len(built) == len(report.samples) == 10
+        built.clear()
+        build_report(q, 2, n_samples=7, seed=3)
+        assert len(built) == 14  # 7 distribution samples plus 7 disjoint MC samples
 
     def test_mc_expected_inverse_batchwise_matches_plain_mean(self):
         from blockprec.spectral import expected_inverse_mc
