@@ -25,7 +25,6 @@ from .partition import (
     enumerate_partitions,
     partition_count,
     sample_uniform_partition,
-    solve_block_system,
 )
 from .objectives import (
     EXACT_HESSIAN,
@@ -39,14 +38,13 @@ from .solver import (
     ArmijoStep,
     ConvergenceTrace,
     FixedStep,
-    GeneralModelParams,
     SolverConfig,
     armijo_step_size,
     run,
     run_repeats,
-    step,
 )
 from .spectral import (
+    GeneralModelParams,
     GeneralRate,
     SpectralReport,
     SpectralSample,
@@ -55,7 +53,6 @@ from .spectral import (
     expected_lambda_exact,
     expected_lambda_mc,
     lambda_min_precond,
-    precond_spectrum,
     rate_general,
     rate_glm,
     rate_quadratic,

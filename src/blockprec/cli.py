@@ -30,7 +30,7 @@ from .errors import (
     SingularBlockError,
     UnsupportedLossError,
 )
-from .seeding import MAX_SEED, derive_seed
+from .seeding import check_seed, derive_seed
 
 THREADS_ENV = "BLOCKPREC_THREADS"
 
@@ -44,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InvalidArgumentError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        # argparse parses "--flag=--" to [], skipping the flag's type and choices.
+        for name, value in vars(parsed).items():
+            if isinstance(value, list):
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed
 
 
 def _add_common(p, needs_seed=True):
@@ -156,8 +164,8 @@ def _parse(parser, argv):
                 [args.command, *tokens, *argv[argv.index(args.command) + 1:]])
         except InvalidArgumentError as exc:
             raise InvalidArgumentError(f"config {args.config}: {exc}") from None
-    if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
-        raise InvalidArgumentError(f"--seed must lie in [0, 2^64), got {args.seed}")
+    if args.seed is not None:
+        check_seed(args.seed)
     if args.threads < 1:
         raise InvalidArgumentError(
             f"--threads (or ${THREADS_ENV}) must be positive, got {args.threads}")
@@ -202,21 +210,26 @@ def cmd_gen(args, argv):
     return 0
 
 
-def _load_spectral_matrix(args):
+def _read_input(args, logistic_labels):
+    """(Q, sidecar metadata, None) from --q, or (None, None, Dataset) from --dataset.
+
+    Exactly one of the two flags must be given; --normalize scales the
+    dataset's columns to unit norm.
+    """
     if (args.q is None) == (args.dataset is None):
         raise InvalidArgumentError("exactly one of --q or --dataset is required")
     if args.q is not None:
-        return data.load_q(args.q)
-    ds = data.read_libsvm(args.dataset)
-    if args.normalize:
-        ds = data.normalize_columns(ds)
-    q = objectives.gram_matrix(ds.a) + args.lambda_reg * np.eye(ds.n_features)
-    return q, {"kind": "dataset", "path": args.dataset, "lambda_reg": args.lambda_reg}
+        return (*data.load_q(args.q), None)
+    ds = data.read_libsvm(args.dataset, logistic_labels=logistic_labels)
+    return None, None, data.normalize_columns(ds) if args.normalize else ds
 
 
 def cmd_spectral(args, argv):
     _require(args, "k", "out", "seed")
-    q, meta = _load_spectral_matrix(args)
+    q, meta, ds = _read_input(args, False)
+    if ds is not None:
+        q = objectives.gram_matrix(ds.a) + args.lambda_reg * np.eye(ds.n_features)
+        meta = {"kind": "dataset", "path": args.dataset, "lambda_reg": args.lambda_reg}
     closed = None
     if args.closed_form:
         if not meta or meta.get("kind") != "uniform":
@@ -235,25 +248,19 @@ def cmd_spectral(args, argv):
 
 
 def _build_objective(args):
-    if (args.q is None) == (args.dataset is None):
-        raise InvalidArgumentError("exactly one of --q or --dataset is required")
-    label_seed = derive_seed(args.seed, _TAG_LABELS)
-    if args.q is not None:
-        q, _ = data.load_q(args.q)
+    if args.objective == "quadratic" and args.dataset is not None:
+        raise InvalidArgumentError("the quadratic objective needs --q, not --dataset")
+    q, _, ds = _read_input(args, args.objective == "logistic")
+    if ds is None:
         if args.objective == "quadratic":
             rng = np.random.default_rng(derive_seed(args.seed, _TAG_LINEAR))
             return objectives.Quadratic(q, rng.standard_normal(q.shape[0]))
         a = data.factor_sqrt(q)
-        y = data.gen_labels(a, "gaussian", label_seed)
+        y = data.gen_labels(a, "gaussian", derive_seed(args.seed, _TAG_LABELS))
         if args.objective == "logistic":
             y = np.where(y >= 0.0, 1.0, -1.0)
             return objectives.logistic(a, y, args.reg)
         return objectives.ridge(a, y, args.reg)
-    if args.objective == "quadratic":
-        raise InvalidArgumentError("the quadratic objective needs --q, not --dataset")
-    ds = data.read_libsvm(args.dataset, logistic_labels=args.objective == "logistic")
-    if args.normalize:
-        ds = data.normalize_columns(ds)
     if args.objective == "logistic":
         return objectives.logistic(ds.a, ds.y, args.reg, name=ds.name)
     return objectives.ridge(ds.a, ds.y, args.reg, name=ds.name)
@@ -292,12 +299,12 @@ def cmd_solve(args, argv):
     for scheme in schemes:
         config = solver.SolverConfig(
             k_blocks=args.k, scheme=scheme, seed=args.seed, n_iters=args.t,
-            model=args.model, step=step, repeats=args.repeats, jitter=args.jitter)
+            model=args.model, step=step, jitter=args.jitter)
         try:
-            traces = solver.run_repeats(obj, config, threads=args.threads)
+            traces = solver.run_repeats(obj, config, args.repeats, threads=args.threads)
         except DivergenceError as exc:
-            if exc.trace is not None:
-                _write_scheme_outputs(args.out, scheme, config, [exc.trace], invocation)
+            if exc.traces:
+                _write_scheme_outputs(args.out, scheme, config, exc.traces, invocation)
             raise
         _write_scheme_outputs(args.out, scheme, config, traces, invocation)
     return 0

@@ -15,6 +15,7 @@ import scipy.sparse
 
 from .errors import InvalidArgumentError, LibsvmParseError
 from .partition import check_symmetric_matrix
+from .seeding import check_seed
 
 _Q_MAGIC = b"BPQ1"
 _Q_HEADER = struct.Struct("<4sI8x")  # magic, u32 order, 8 reserved bytes
@@ -41,7 +42,7 @@ def gen_uniform_q(n: int, alpha: float):
 
 def gen_separable_q(n: int, k: int, alpha: float):
     """Block-diagonal matrix of K uniform-correlation blocks of size n/K."""
-    if k < 1 or n % k != 0:
+    if n < 1 or k < 1 or n % k != 0:
         raise InvalidArgumentError(f"k must divide n, got n={n}, k={k}")
     _check_alpha(alpha)
     nk = n // k
@@ -68,8 +69,9 @@ def gen_random_corr_q(n: int, alpha: float, seed: int):
     """
     if n < 1:
         raise InvalidArgumentError("n must be positive")
-    if alpha <= 0.0:
-        raise InvalidArgumentError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     q = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
@@ -225,6 +227,7 @@ def gen_labels(a, kind: str, seed: int, x_true=None, noise: float = 0.0, sign: b
     with eps ~ noise * N(0, I_m), taking the sign when ``sign`` is set
     (for classification labels). Deterministic given ``seed``.
     """
+    check_seed(seed)
     m = a.shape[0]
     rng = np.random.default_rng(seed)
     if kind == "gaussian":

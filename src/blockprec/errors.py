@@ -38,10 +38,14 @@ class DivergenceError(BlockprecError):
 
     Attributes:
         trace: the partial ConvergenceTrace recorded before the abort.
+        traces: every trace of the batch up to the abort, in run order,
+            ending with ``trace``; ``run_repeats`` prepends the repeats
+            that completed before the diverging one.
     """
 
     def __init__(self, message, trace=None):
         self.trace = trace
+        self.traces = [] if trace is None else [trace]
         super().__init__(message)
 
 

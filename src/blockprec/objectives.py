@@ -84,6 +84,11 @@ class Quadratic:
         _check_model(model)
         return self.h
 
+    def curvature_is_constant(self, model) -> bool:
+        """Whether ``curvature(x, model)`` is the same for every x: always, it is H."""
+        _check_model(model)
+        return True
+
     def optimum(self):
         """Minimizer and minimum value, from the Cholesky factor that validated H."""
         return self._optimum
@@ -170,13 +175,19 @@ class Glm:
             return np.asarray((self.a.T @ aw).todense(), dtype=float)
         return self.a.T @ (weights[:, None] * self.a)
 
+    def curvature_is_constant(self, model) -> bool:
+        """Whether ``curvature(x, model)`` is the same for every x.
+
+        It is gamma_ell A^T A + lambda I, except for the exact Hessian of
+        logistic loss, which weights the rows of A by the iterate.
+        """
+        _check_model(model)
+        return self.loss == SQUARED or model == SMOOTHNESS_BOUND
+
     def curvature(self, x, model=EXACT_HESSIAN):
         x = _check_x(x, self.n)
-        _check_model(model)
         reg = self.lam * np.eye(self.n)
-        if self.loss == SQUARED:
-            return self.gram() + reg
-        if model == SMOOTHNESS_BOUND:
+        if self.curvature_is_constant(model):
             return self.gamma_loss * self.gram() + reg
         sig = expit(self.y * self._margins(x))
         q = self._weighted_gram(sig * (1.0 - sig))

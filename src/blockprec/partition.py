@@ -15,6 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EnumerationCapError, InvalidArgumentError, SingularBlockError
+from .seeding import check_seed
 
 SYMMETRY_TOL = 1e-10
 
@@ -116,6 +117,7 @@ def sample_uniform_partition(n: int, k: int, seed: int) -> Partitioning:
         raise InvalidArgumentError(f"n must be positive, got {n}")
     if k < 1 or k > n:
         raise InvalidArgumentError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     base, extra = divmod(n, k)
@@ -236,7 +238,7 @@ class BlockCholesky:
         """Congruence transform L^{-1} Q L^{-T} where Q_P = L L^T.
 
         The result is similar to Q_P^{-1} Q, so it has the same spectrum,
-        but it is symmetric (up to roundoff) and safe for ``eigvalsh``.
+        and it is symmetric up to roundoff, so ``eigvalsh`` applies.
         """
         q = _check_dims(check_symmetric_matrix(q), self.part)
         y = np.empty_like(q)
@@ -247,14 +249,5 @@ class BlockCholesky:
         for idx, lower in zip(self._blocks, self._factors):
             w[:, idx] = scipy.linalg.solve_triangular(
                 lower, y[:, idx].T, lower=True, check_finite=False).T
-        return 0.5 * (w + w.T)
+        return w
 
-
-def solve_block_system(q, part: Partitioning, g, jitter: float = 0.0):
-    """Solve block_mask(Q, P) d = g via independent per-block SPD solves.
-
-    With ``jitter > 0`` each block is shifted to block + jitter * I before
-    factorization. By default (jitter = 0) a non-positive-definite block
-    raises SingularBlockError naming the offending block.
-    """
-    return BlockCholesky(q, part, jitter=jitter).solve(g)

@@ -9,14 +9,14 @@ backtracking.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import objectives
 from .errors import DivergenceError, InvalidArgumentError, LineSearchError
-from .partition import BlockCholesky, Partitioning, sample_uniform_partition
-from .seeding import derive_seed
+from .partition import BlockCholesky, sample_uniform_partition
+from .seeding import check_seed, derive_seed, map_ordered
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -56,38 +56,11 @@ class ArmijoStep:
 
 
 @dataclass(frozen=True)
-class GeneralModelParams:
-    """Constants of the general auxiliary-model analysis, for rate reporting.
-
-    xi weights the quadratic model in the upper bound on f, alpha_decrease
-    is the guaranteed per-step contraction of the model optimum, and
-    l_lipschitz is the Lipschitz constant of f. These are never enforced
-    at runtime.
-    """
-
-    xi: float = 1.0
-    alpha_decrease: float = 0.0
-    l_lipschitz: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.xi <= 1.0:
-            raise InvalidArgumentError(f"xi must lie in (0, 1], got {self.xi}")
-        if not 0.0 <= self.alpha_decrease < 1.0:
-            raise InvalidArgumentError(
-                f"alpha_decrease must lie in [0, 1), got {self.alpha_decrease}")
-        if self.l_lipschitz <= 0.0:
-            raise InvalidArgumentError(
-                f"l_lipschitz must be positive, got {self.l_lipschitz}")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Full description of a solver run.
 
     ``seed`` is the partition seed for the static scheme and the base seed
-    for per-iteration reseeding in the dynamic scheme. ``repeats`` only
-    matters to callers running matched batches; ``run`` itself executes a
-    single trace.
+    for per-iteration reseeding in the dynamic scheme. Runs start at x = 0.
     """
 
     k_blocks: int
@@ -96,8 +69,6 @@ class SolverConfig:
     n_iters: int = 50
     model: str = objectives.EXACT_HESSIAN
     step: "FixedStep | ArmijoStep" = field(default_factory=FixedStep)
-    x0: np.ndarray | None = None
-    repeats: int = 1
     jitter: float = 0.0
 
     def __post_init__(self):
@@ -105,14 +76,11 @@ class SolverConfig:
             raise InvalidArgumentError("k_blocks must be positive")
         if self.scheme not in SCHEMES:
             raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        check_seed(self.seed)
         if self.n_iters < 0:
             raise InvalidArgumentError("n_iters must be non-negative")
         if self.model not in objectives.CURVATURE_MODELS:
             raise InvalidArgumentError(f"unknown curvature model {self.model!r}")
-        if self.repeats < 1:
-            raise InvalidArgumentError("repeats must be positive")
-        if self.x0 is not None:
-            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
 
     def to_json_dict(self):
         step = {"kind": "fixed", "eta": self.step.eta} if isinstance(self.step, FixedStep) \
@@ -125,8 +93,6 @@ class SolverConfig:
             "n_iters": self.n_iters,
             "model": self.model,
             "step": step,
-            "x0": None if self.x0 is None else [float(v) for v in self.x0],
-            "repeats": self.repeats,
             "jitter": self.jitter,
         }
 
@@ -162,14 +128,6 @@ class ConvergenceTrace:
         }
 
 
-def step(obj, x, part: Partitioning, model: str, eta: float, jitter: float = 0.0):
-    """One preconditioned update x - eta * Q_P^{-1} grad f(x)."""
-    x = np.asarray(x, dtype=float)
-    q = obj.curvature(x, model)
-    chol = BlockCholesky(q, part, jitter=jitter)
-    return x - eta * chol.solve(obj.gradient(x))
-
-
 def armijo_step_size(obj, x, d, c1: float, shrink: float, max_backtracks: int) -> float:
     """Largest beta in {1, shrink, shrink^2, ...} passing the Armijo test.
 
@@ -192,17 +150,6 @@ def armijo_step_size(obj, x, d, c1: float, shrink: float, max_backtracks: int) -
         f"no step satisfied the Armijo test within {max_backtracks} backtracks")
 
 
-def _model_is_constant(obj, model: str) -> bool:
-    # Quadratic curvature is H for either model; GLM curvature depends on
-    # the iterate only for logistic loss under the exact Hessian. Unknown
-    # objective types are re-factorized every iteration to stay correct.
-    if isinstance(obj, objectives.Quadratic):
-        return True
-    if isinstance(obj, objectives.Glm):
-        return obj.loss == objectives.SQUARED or model == objectives.SMOOTHNESS_BOUND
-    return False
-
-
 def run(obj, config: SolverConfig) -> ConvergenceTrace:
     """Execute one solver run and record its convergence trace.
 
@@ -214,9 +161,7 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
     """
     n = obj.n
     t_max = config.n_iters
-    x = np.zeros(n) if config.x0 is None else config.x0.copy()
-    if x.shape != (n,):
-        raise InvalidArgumentError(f"x0 has shape {x.shape}, expected ({n},)")
+    x = np.zeros(n)
     _, f_star = obj.optimum()
 
     if config.scheme == STATIC:
@@ -227,9 +172,8 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
         static_part = None
 
     eta = config.step.resolve(config.k_blocks) if isinstance(config.step, FixedStep) else None
-    constant_model = _model_is_constant(obj, config.model)
     cached_chol = None
-    if static_part is not None and constant_model:
+    if static_part is not None and obj.curvature_is_constant(config.model):
         cached_chol = BlockCholesky(obj.curvature(x, config.model), static_part,
                                     jitter=config.jitter)
 
@@ -265,25 +209,31 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
     return ConvergenceTrace(fvals, subopts, gradnorms, seeds, x, f_star, config)
 
 
-def run_repeats(obj, config: SolverConfig, threads: int = 1):
-    """Run ``config.repeats`` independent traces with per-repeat seeds.
+def run_repeats(obj, config: SolverConfig, repeats: int, threads: int = 1):
+    """Run ``repeats`` independent traces with per-repeat seeds.
 
     Repeat r uses seed derive_seed(config.seed, r) under the configured
     scheme, so a static/dynamic pair built from the same base config sees
     matched seeds. Results are ordered by repeat index regardless of the
-    thread count.
+    thread count. If repeat r diverges, the DivergenceError's ``traces``
+    holds the traces of repeats 0..r-1 followed by the partial trace of r.
     """
-    configs = [
-        SolverConfig(config.k_blocks, config.scheme, derive_seed(config.seed, r),
-                     config.n_iters, config.model, config.step, config.x0,
-                     1, config.jitter)
-        for r in range(config.repeats)
-    ]
-    if threads > 1 and len(configs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda c: run(obj, c), configs))
-    return [run(obj, c) for c in configs]
+    if repeats < 1:
+        raise InvalidArgumentError("repeats must be positive")
+    configs = [replace(config, seed=derive_seed(config.seed, r))
+               for r in range(repeats)]
+    # Fill the objective's lazy caches (optimum, Gram) before threads share it.
+    obj.optimum()
+    if obj.curvature_is_constant(config.model):
+        obj.curvature(np.zeros(obj.n), config.model)
+    traces = []
+    try:
+        for trace in map_ordered(lambda c: run(obj, c), configs, threads):
+            traces.append(trace)
+    except DivergenceError as exc:
+        exc.traces = traces + exc.traces
+        raise
+    return traces
 
 
 def write_traces_csv(fh, traces, comment: str | None = None):

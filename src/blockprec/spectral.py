@@ -11,16 +11,16 @@ Monte Carlo otherwise, and in closed form for uniform-correlation and
 block-separable structures.
 
 All lambda_min computations go through symmetric congruences of the
-nonsymmetric products (L^{-1} Q L^{-T} for a single partitioning,
-E^{1/2} Q E^{1/2} for expectations), which preserve the spectrum exactly
-and keep the eigensolver on symmetric matrices.
+nonsymmetric products (L^{-1} Q L^{-T} with Q_P = L L^T for a single
+partitioning, L^T Q L with E = L L^T for expectations), which preserve
+the spectrum exactly and keep the eigensolver on symmetric matrices.
 """
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 
 from .errors import InvalidArgumentError, SingularBlockError, UnsupportedLossError
@@ -33,62 +33,38 @@ from .partition import (
     enumerate_partitions,
     sample_uniform_partition,
 )
-from .seeding import derive_seed
-from .solver import STATIC, SCHEMES, GeneralModelParams
+from .seeding import derive_seed, map_ordered
+from .solver import STATIC, SCHEMES
 
 N_BATCHES = 10
 
 
-def precond_spectrum(q, part: Partitioning, jitter: float = 0.0):
-    """All eigenvalues of Q_P^{-1} Q, ascending.
-
-    Computed from the symmetric congruence L^{-1} Q L^{-T} with
-    Q_P = L L^T, which is similar to Q_P^{-1} Q.
-    """
-    chol = BlockCholesky(q, part, jitter=jitter)
-    return np.linalg.eigvalsh(chol.whiten(q))
-
-
-def lambda_min_precond(q, part: Partitioning, jitter: float = 0.0) -> float:
-    """Smallest eigenvalue of Q_P^{-1} Q."""
-    return float(precond_spectrum(q, part, jitter=jitter)[0])
+def _min_eigenvalue(m) -> float:
+    """Smallest eigenvalue of a matrix symmetric up to roundoff, symmetrized here."""
+    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
 
 
 def _lambda_min(chol, q) -> float:
     """lambda_min(Q_P^{-1} Q) from an existing factorization of Q_P."""
-    return float(np.linalg.eigvalsh(chol.whiten(q))[0])
+    return _min_eigenvalue(chol.whiten(q))
+
+
+def lambda_min_precond(q, part: Partitioning, jitter: float = 0.0) -> float:
+    """Smallest eigenvalue of Q_P^{-1} Q."""
+    return _lambda_min(BlockCholesky(q, part, jitter=jitter), q)
 
 
 def lambda_min_of_expected(expected_inverse, q) -> float:
     """Smallest eigenvalue of E Q given a symmetric SPD mean-of-inverses E.
 
-    Uses the symmetric form E^{1/2} Q E^{1/2}, similar to E Q.
+    Uses the symmetric form L^T Q L with E = L L^T, similar to E Q.
     """
     e = check_symmetric_matrix(np.asarray(expected_inverse), tol=1e-8)
-    w, v = np.linalg.eigh(0.5 * (e + e.T))
-    if w[0] <= 0.0:
-        raise InvalidArgumentError(
-            f"mean of inverses is not positive definite (lambda_min = {w[0]:.3e})")
-    s = (v * np.sqrt(w)) @ v.T
-    prod = s @ q @ s
-    return float(np.linalg.eigvalsh(0.5 * (prod + prod.T))[0])
-
-
-def _map_ordered(fn, items, threads):
-    """Apply fn over items, yielding results in input order.
-
-    With threads > 1 the work runs on a pool but results are still
-    consumed in index order (bounded chunks keep memory flat), so any
-    downstream accumulation is independent of the thread count.
-    """
-    if threads <= 1:
-        for item in items:
-            yield fn(item)
-        return
-    chunk = max(4 * threads, 16)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(items), chunk):
-            yield from pool.map(fn, items[start:start + chunk])
+    try:
+        lower = scipy.linalg.cholesky(e, lower=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        raise InvalidArgumentError("mean of inverses is not positive definite") from None
+    return _min_eigenvalue(lower.T @ q @ lower)
 
 
 def expected_inverse_mc(q, k_blocks: int, n_samples: int, seed: int, threads: int = 1):
@@ -115,7 +91,7 @@ def expected_inverse_mc(q, k_blocks: int, n_samples: int, seed: int, threads: in
     for b in range(n_batches):
         indices = list(range(bounds[b], bounds[b + 1]))
         acc = np.zeros((n, n))
-        for inv in _map_ordered(inverse_for, indices, threads):
+        for inv in map_ordered(inverse_for, indices, threads):
             acc += inv
         batch_means.append(acc / len(indices))
         total += acc
@@ -126,7 +102,7 @@ def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int, threads: int
     """Monte Carlo estimate of lambda_min(E[Q_P^{-1}] Q) with standard error.
 
     Returns (estimate, stderr). The estimate is lambda_min of the
-    symmetrized E^{1/2} Q E^{1/2} built from the full mean of sampled
+    congruence L^T Q L, E = L L^T, built from the full mean of sampled
     block inverses; the standard error comes from the spread of the same
     statistic over 10 sample batches. Deterministic given the seed.
     """
@@ -288,7 +264,7 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme:
     supplies the masked inverses. For wide products (more rows than
     columns) the zero part of the spectrum of A E A^T is structural, so
     lambda_min is taken over the equivalent nonzero spectrum via the
-    n x n congruence E^{1/2} A^T A E^{1/2}.
+    n x n congruence L^T A^T A L with E = L L^T.
     """
     if mu_loss is None:
         raise UnsupportedLossError(
@@ -308,11 +284,35 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme:
             exc.block, f"{exc}; pass lambda_shift > 0 to regularize the masked blocks"
         ) from exc
     if m_rows <= n:
-        prod = np.asarray(a @ (a @ expected).T)
-        lam = float(np.linalg.eigvalsh(0.5 * (prod + prod.T))[0])
+        lam = _min_eigenvalue(np.asarray(a @ (a @ expected).T))
     else:
         lam = lambda_min_of_expected(expected, gram)
     return mu_loss / (k_blocks * gamma_loss) * lam
+
+
+@dataclass(frozen=True)
+class GeneralModelParams:
+    """Constants of the general auxiliary-model analysis, for rate reporting.
+
+    xi weights the quadratic model in the upper bound on f, alpha_decrease
+    is the guaranteed per-step contraction of the model optimum, and
+    l_lipschitz is the Lipschitz constant of f. These are never enforced
+    at runtime.
+    """
+
+    xi: float = 1.0
+    alpha_decrease: float = 0.0
+    l_lipschitz: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.xi <= 1.0:
+            raise InvalidArgumentError(f"xi must lie in (0, 1], got {self.xi}")
+        if not 0.0 <= self.alpha_decrease < 1.0:
+            raise InvalidArgumentError(
+                f"alpha_decrease must lie in [0, 1), got {self.alpha_decrease}")
+        if self.l_lipschitz <= 0.0:
+            raise InvalidArgumentError(
+                f"l_lipschitz must be positive, got {self.l_lipschitz}")
 
 
 @dataclass(frozen=True)
@@ -335,8 +335,7 @@ def rate_general(q, k_blocks: int, params: GeneralModelParams, scheme: str,
     q = check_symmetric_matrix(q)
     expected = _expected_inverse(q, k_blocks, scheme, partitioning,
                                  mc_samples, seed, exact, cap, threads)
-    prod = q.T @ expected @ q
-    lam = float(np.linalg.eigvalsh(0.5 * (prod + prod.T))[0])
+    lam = _min_eigenvalue(q.T @ expected @ q)
     rho = params.xi / (2.0 * k_blocks) * lam
     return GeneralRate(rho, 1.0 - rho * (1.0 - params.alpha_decrease) / params.l_lipschitz)
 
@@ -436,7 +435,7 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     def lam_for(key):
         return _lambda_min(BlockCholesky(q, sample_uniform_partition(n, k_blocks, key)), q)
 
-    values = list(_map_ordered(lam_for, keys, threads))
+    values = list(map_ordered(lam_for, keys, threads))
     samples = [SpectralSample(k, v) for k, v in zip(keys, values)]
     value, stderr = expected_lambda_mc(q, k_blocks, n_samples, mc_seed, threads=threads)
     return SpectralReport(n, k_blocks, samples, value, "mc", n_samples, stderr, closed_form)

@@ -221,8 +221,8 @@ def test_criterion_5_rate_bound_desk_scale():
     obj = Quadratic(h, c)
 
     config = SolverConfig(k_blocks=k, scheme="dynamic", seed=7, n_iters=50,
-                          step=FixedStep(0.5), repeats=100)
-    traces = run_repeats(obj, config)
+                          step=FixedStep(0.5))
+    traces = run_repeats(obj, config, 100)
     mean = np.mean([t.subopts for t in traces], axis=0)
     eps0 = mean[0]
     bound_failures = [
@@ -296,9 +296,8 @@ def test_criterion_7_logistic_ordering_real_data():
     finals = {}
     for scheme in ("static", "dynamic"):
         config = SolverConfig(k_blocks=8, scheme=scheme, seed=17, n_iters=100,
-                              model=EXACT_HESSIAN, step=FixedStep(1.0 / 8.0),
-                              repeats=10)
-        traces = run_repeats(obj, config)
+                              model=EXACT_HESSIAN, step=FixedStep(1.0 / 8.0))
+        traces = run_repeats(obj, config, 10)
         finals[scheme] = float(np.median([t.subopts[-1] for t in traces]))
     elapsed = time.perf_counter() - start
     ok = finals["dynamic"] <= finals["static"] and elapsed < 120.0

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprec import gen_separable_q, gen_uniform_q, load_q, save_q
 from blockprec.cli import main
@@ -242,6 +247,31 @@ class TestSolve:
         assert code == 3
         assert (tmp_path / "run_dynamic_runs.csv").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_divergence_keeps_completed_repeats(self, tmp_path):
+        # Static runs on the 4x4 separable toy at eta = 1.9: the partitioning
+        # aligned with the blocks converges (Q_P = Q), a misaligned one
+        # (Q_P = I) diverges. With seed 11, repeats 0 and 1 draw aligned
+        # partitionings and repeat 2 a misaligned one.
+        qfile = tmp_path / "s"
+        run_cli("gen", "--kind", "separable", "--n", 4, "--k", 2, "--alpha", 0.9,
+                "--seed", 0, "--out", qfile)
+        outputs = {}
+        for threads in (1, 2):
+            out = tmp_path / f"run{threads}"
+            assert run_cli("solve", "--objective", "quadratic", "--q", str(qfile) + ".q",
+                           "--k", 2, "--scheme", "static", "--t", 500, "--eta", 1.9,
+                           "--repeats", 4, "--threads", threads, "--seed", 11,
+                           "--out", out) == 3
+            outputs[threads] = (tmp_path / f"run{threads}_static.json").read_text()
+            _, rows = read_csv_rows(tmp_path / f"run{threads}_static_runs.csv")
+            assert [int(r["run"]) for r in rows] == sorted(int(r["run"]) for r in rows)
+            assert {int(r["run"]) for r in rows} == {0, 1, 2}
+        traces = json.loads(outputs[1])["traces"]
+        assert [len(t["fvals"]) for t in traces[:2]] == [501, 501]
+        assert len(traces) == 3 and len(traces[2]["fvals"]) < 501
+        assert outputs[1] == outputs[2]
+
     def test_thread_count_does_not_change_bytes(self, tmp_path):
         qfile = tmp_path / "u"
         run_cli("gen", "--kind", "uniform", "--n", 20, "--alpha", 0.2,
@@ -339,8 +369,144 @@ class TestExitContract:
         cfg.write_text(json.dumps({"k": "two"}))
         self.assert_one_line_exit_2(run_cli(*args, "--seed", 0, "--config", cfg), capsys)
 
+    @pytest.mark.parametrize("flag", ["--k=--", "--config=--", "--samples=--"])
+    def test_flag_given_double_dash(self, tmp_path, capsys, flag):
+        # argparse parses "--flag=--" to an empty list instead of failing
+        args = self.spectral_args(tmp_path)
+        capsys.readouterr()
+        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", 0, flag), capsys)
+
+    def test_config_value_double_dash(self, tmp_path, capsys):
+        args = self.spectral_args(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "--"}))
+        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--config", cfg), capsys)
+
     @pytest.mark.parametrize("seed", [2**128, 2**64, -1])
     def test_seed_outside_64_bits(self, tmp_path, capsys, seed):
         args = self.spectral_args(tmp_path)
         capsys.readouterr()
         self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", seed), capsys)
+
+
+# --- exit-code contract under fuzzed argv and --config -------------------
+#
+# An invocation starts from valid flag values for its subcommand, then up to
+# two flags are dropped or given a wild value, and some flags may move into
+# a --config object, next to junk keys and values. Sizes stay at most 32 and
+# --threads at most 2, so every example runs in milliseconds.
+
+_REAL = st.one_of(st.floats(-2.0, 2.0),
+                  st.sampled_from([0.0, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]))
+_WILD_INT = st.integers(-2, 40)
+_WILD_TEXT = st.one_of(st.text("0123456789,.-e", max_size=8), st.just("bogus"))
+_SIZE = st.integers(1, 32)
+_FRACTION = st.floats(0.0, 0.95)
+_POSITIVE = st.floats(0.01, 2.0)
+
+# subcommand -> flag -> (valid values, wild values, always given); None is a switch.
+_FLAGS = {
+    "gen": {"kind": (st.sampled_from(["uniform", "separable", "randomcorr"]), _WILD_TEXT, True),
+            "n": (_SIZE, _WILD_INT, True), "k": (st.integers(1, 4), _WILD_INT, False),
+            "alpha": (_FRACTION, _REAL, True), "factor": None},
+    "spectral": {"k": (st.integers(1, 3), _WILD_INT, True), "samples": (_SIZE, _WILD_INT, False),
+                 "exact": None, "closed-form": None,
+                 "lambda-reg": (_POSITIVE, _REAL, False), "normalize": None},
+    "solve": {"objective": (st.sampled_from(["quadratic", "ridge", "logistic"]), _WILD_TEXT, True),
+              "k": (st.integers(1, 3), _WILD_INT, True),
+              "scheme": (st.sampled_from(["static", "dynamic", "both"]), _WILD_TEXT, False),
+              "model": (st.sampled_from(["exact_hessian", "smoothness_bound"]), _WILD_TEXT,
+                        False),
+              "step": (st.sampled_from(["fixed", "armijo"]), _WILD_TEXT, False),
+              "eta": (_POSITIVE, _REAL, False), "c1": (_FRACTION, _REAL, False),
+              "shrink": (_FRACTION, _REAL, False),
+              "max-backtracks": (st.integers(1, 60), _WILD_INT, False),
+              "t": (st.integers(0, 32), _WILD_INT, False),
+              "repeats": (st.integers(1, 3), _WILD_INT, False),
+              "reg": (_POSITIVE, _REAL, False), "jitter": (st.just(0.0), _REAL, False),
+              "normalize": None},
+    "sweep": {"n": (_SIZE, _WILD_INT, True),
+              "k-grid": (st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
+                  lambda v: ",".join(map(str, v))), _WILD_TEXT, True),
+              "alpha-grid": (st.lists(_FRACTION, min_size=1, max_size=3).map(
+                  lambda v: ",".join(map(repr, v))), _WILD_TEXT, True)},
+}
+_COMMON = {"seed": (st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, 2**128]), True),
+           "threads": (st.sampled_from([1, 2]), st.sampled_from([0, -1, "two"]), False),
+           "out": (st.sampled_from(["out", "sub/out"]), st.just("missing/../out"), True)}
+_SOURCES = {"q": (st.sampled_from(["u.q", "s.q"]),
+                  st.sampled_from(["a.libsvm", "junk.bin", "missing.q"])),
+            "dataset": (st.just("a.libsvm"), st.sampled_from(["u.q", "junk.bin", "missing.q"]))}
+_JUNK = st.one_of(st.none(), st.booleans(), st.text("abc-_", max_size=4),
+                  st.lists(st.integers(0, 3), max_size=2),
+                  st.dictionaries(st.text("ab", max_size=2), st.integers(0, 3), max_size=1))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    save_q(d / "u.q", gen_uniform_q(6, 0.3), {"kind": "uniform", "n": 6, "alpha": 0.3})
+    save_q(d / "s.q", gen_separable_q(6, 3, 0.5), {"kind": "separable", "n": 6, "k": 3})
+    (d / "a.libsvm").write_text("1 1:0.5 2:1.0\n0 2:0.25 3:2.0\n1 1:1.5 3:0.5 4:1.0\n"
+                                "0 1:0.5 4:0.75\n1 2:1.25 4:0.5\n0 1:1.0 3:1.0\n")
+    (d / "junk.bin").write_bytes(bytes(range(256)))
+    return d
+
+
+@st.composite
+def _invocation(draw, root):
+    """(argv, config object or None) for one subcommand."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = {**_FLAGS[command], **_COMMON}
+    if command in ("spectral", "solve"):
+        source = draw(st.sampled_from(sorted(_SOURCES)))
+        flags.update({name: (*values, name == source) for name, values in _SOURCES.items()})
+    values = {}
+    for name, spec in sorted(flags.items()):
+        if spec is None:
+            if draw(st.booleans()):
+                values[name] = True
+        elif spec[2] or draw(st.booleans()):
+            values[name] = draw(spec[0])
+    for name in draw(st.lists(st.sampled_from(sorted(flags)), max_size=2, unique=True)):
+        if flags[name] is None or draw(st.booleans()):
+            values.pop(name, None)
+        else:
+            values[name] = draw(flags[name][1])
+    for name in ("q", "dataset", "out"):
+        if name in values:
+            values[name] = str(root / values[name])
+    config = None
+    if draw(st.booleans()):
+        config = {name.replace("-", "_") if draw(st.booleans()) else name: values.pop(name)
+                  for name in draw(st.lists(st.sampled_from(sorted(values)), unique=True))}
+        # Junk never goes to a path flag, so nothing is read or written outside fuzz_dir.
+        junk_keys = sorted(set(flags) - {"q", "dataset", "out"}) + ["bogus", "command"]
+        for key in draw(st.lists(st.sampled_from(junk_keys), max_size=1)):
+            config[key] = draw(_JUNK)
+    argv = [command]
+    for name in draw(st.permutations(sorted(values))):
+        if values[name] is True:
+            argv.append(f"--{name}")
+        elif draw(st.booleans()):
+            argv.append(f"--{name}={values[name]}")
+        else:
+            argv += [f"--{name}", str(values[name])]
+    return argv, config
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_invocation_keeps_exit_contract(fuzz_dir, data):
+    argv, config = data.draw(_invocation(fuzz_dir))
+    if config is not None:
+        path = fuzz_dir / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, config, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -17,7 +17,6 @@ from blockprec import (
     enumerate_partitions,
     partition_count,
     sample_uniform_partition,
-    solve_block_system,
 )
 
 
@@ -197,14 +196,14 @@ class TestBlockSolve:
         q = np.diag([2.0, 4.0, 8.0, 16.0])
         part = sample_uniform_partition(4, 2, seed=0)
         g = np.array([1.0, 1.0, 1.0, 1.0])
-        np.testing.assert_allclose(solve_block_system(q, part, g), 1.0 / np.diag(q))
+        np.testing.assert_allclose(BlockCholesky(q, part).solve(g), 1.0 / np.diag(q))
 
     def test_single_block_is_full_solve(self):
         rng = np.random.default_rng(8)
         q = random_spd(6, rng)
         g = rng.standard_normal(6)
         part = Partitioning(np.zeros(6, dtype=int), 1)
-        np.testing.assert_allclose(solve_block_system(q, part, g),
+        np.testing.assert_allclose(BlockCholesky(q, part).solve(g),
                                    np.linalg.solve(q, g), rtol=1e-10)
 
     def test_matches_dense_solve_of_masked_matrix(self):
@@ -213,7 +212,7 @@ class TestBlockSolve:
         g = rng.standard_normal(8)
         part = sample_uniform_partition(8, 2, seed=5)
         dense = np.linalg.solve(block_mask(q, part), g)
-        got = solve_block_system(q, part, g)
+        got = BlockCholesky(q, part).solve(g)
         assert np.linalg.norm(got - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_singular_block_names_offender(self):
@@ -226,21 +225,21 @@ class TestBlockSolve:
         ])
         part = Partitioning(np.array([0, 0, 1, 1]), 2)
         with pytest.raises(SingularBlockError) as excinfo:
-            solve_block_system(q, part, np.ones(4))
+            BlockCholesky(q, part).solve(np.ones(4))
         assert excinfo.value.block == 0
 
     def test_jitter_rescues_singular_block(self):
         q = np.array([[1.0, 1.0], [1.0, 1.0]])
         part = Partitioning(np.array([0, 0]), 1)
         with pytest.raises(SingularBlockError):
-            solve_block_system(q, part, np.ones(2))
-        d = solve_block_system(q, part, np.ones(2), jitter=1e-6)
+            BlockCholesky(q, part).solve(np.ones(2))
+        d = BlockCholesky(q, part, jitter=1e-6).solve(np.ones(2))
         np.testing.assert_allclose((q + 1e-6 * np.eye(2)) @ d, np.ones(2), rtol=1e-9)
 
     def test_negative_jitter_rejected(self):
         part = Partitioning(np.array([0, 0]), 1)
         with pytest.raises(InvalidArgumentError):
-            solve_block_system(np.eye(2), part, np.ones(2), jitter=-1.0)
+            BlockCholesky(np.eye(2), part, jitter=-1.0).solve(np.ones(2))
 
 
 class TestWhitenBound:

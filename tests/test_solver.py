@@ -1,10 +1,13 @@
 import io
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from blockprec import (
     ArmijoStep,
+    BlockCholesky,
     DivergenceError,
     EXACT_HESSIAN,
     FixedStep,
@@ -20,7 +23,6 @@ from blockprec import (
     run,
     run_repeats,
     sample_uniform_partition,
-    step,
     uniform_closed_form,
 )
 from blockprec.solver import write_traces_csv
@@ -31,21 +33,31 @@ def random_quadratic(n, rng, ridge_eps=0.2):
     return Quadratic(g @ g.T / (2 * n) + ridge_eps * np.eye(n), rng.standard_normal(n))
 
 
+def one_step(obj, x, k, seed, eta):
+    """x - eta Q_P^{-1} grad f(x) with P = sample_uniform_partition(n, k, seed).
+
+    Computed as one static iteration from 0 on z -> f(x + z), which is the
+    quadratic with linear term c - H x.
+    """
+    shifted = Quadratic(obj.h, obj.c - obj.h @ x)
+    trace = run(shifted, SolverConfig(k_blocks=k, scheme="static", seed=seed, n_iters=1,
+                                      step=FixedStep(eta)))
+    return x + trace.x_final
+
+
 class TestStep:
     def test_full_newton_step_reaches_optimum(self):
         rng = np.random.default_rng(0)
         obj = random_quadratic(6, rng)
-        part = sample_uniform_partition(6, 1, seed=0)
-        x1 = step(obj, np.zeros(6), part, EXACT_HESSIAN, eta=1.0)
+        x1 = one_step(obj, np.zeros(6), 1, seed=0, eta=1.0)
         x_star, _ = obj.optimum()
         assert np.linalg.norm(x1 - x_star) <= 1e-10
 
     def test_diagonal_curvature_is_diagonal_preconditioning(self):
         h = np.diag([1.0, 4.0, 9.0, 16.0])
         obj = Quadratic(h, np.ones(4))
-        part = sample_uniform_partition(4, 2, seed=1)
         x = np.full(4, 2.0)
-        got = step(obj, x, part, EXACT_HESSIAN, eta=0.5)
+        got = one_step(obj, x, 2, seed=1, eta=0.5)
         expected = x - 0.5 * obj.gradient(x) / np.diag(h)
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 
@@ -54,7 +66,7 @@ class TestStep:
         obj = random_quadratic(8, rng)
         part = sample_uniform_partition(8, 2, seed=3)
         x = rng.standard_normal(8)
-        got = step(obj, x, part, EXACT_HESSIAN, eta=0.5)
+        got = one_step(obj, x, 2, seed=3, eta=0.5)
         dense = x - 0.5 * np.linalg.solve(block_mask(obj.h, part), obj.gradient(x))
         assert np.linalg.norm(got - dense) <= 1e-10 * max(1.0, np.linalg.norm(dense))
 
@@ -66,9 +78,8 @@ class TestStep:
             n = int(rng.integers(4, 12))
             k = int(rng.integers(1, n + 1))
             obj = random_quadratic(n, rng)
-            part = sample_uniform_partition(n, k, seed=trial)
             x = rng.standard_normal(n)
-            x_next = step(obj, x, part, EXACT_HESSIAN, eta=1.0 / k)
+            x_next = one_step(obj, x, k, seed=trial, eta=1.0 / k)
             assert obj.value(x_next) <= obj.value(x) + 1e-12
 
 
@@ -101,8 +112,7 @@ class TestArmijo:
         part = sample_uniform_partition(12, 4, seed=7)
         x = rng.standard_normal(12)
         g = obj.gradient(x)
-        from blockprec import solve_block_system
-        d = -solve_block_system(obj.curvature(x), part, g)
+        d = -BlockCholesky(obj.curvature(x), part).solve(g)
         c1, shrink = 0.3, 0.5
         beta = armijo_step_size(obj, x, d, c1=c1, shrink=shrink, max_backtracks=60)
         slope = g @ d
@@ -117,8 +127,7 @@ class TestArmijo:
         obj = ridge(a, rng.standard_normal(12), lam=0.0)
         part = sample_uniform_partition(12, 4, seed=7)
         x = rng.standard_normal(12)
-        from blockprec import solve_block_system
-        d = -solve_block_system(obj.curvature(x), part, obj.gradient(x))
+        d = -BlockCholesky(obj.curvature(x), part).solve(obj.gradient(x))
         with pytest.raises(LineSearchError):
             armijo_step_size(obj, x, d, c1=0.3, shrink=0.5, max_backtracks=1)
 
@@ -170,8 +179,8 @@ class TestRun:
         obj = Quadratic(h, rng.standard_normal(n))
         rho = uniform_closed_form(n, k, alpha).rho_dynamic
         cfg = SolverConfig(k_blocks=k, scheme="dynamic", seed=21, n_iters=30,
-                           step=FixedStep(1.0 / k), repeats=30)
-        traces = run_repeats(obj, cfg)
+                           step=FixedStep(1.0 / k))
+        traces = run_repeats(obj, cfg, 30)
         mean = np.mean([t.subopts for t in traces], axis=0)
         eps0 = mean[0]
         for t in range(31):
@@ -203,19 +212,45 @@ class TestRun:
     def test_run_repeats_thread_count_invariant(self):
         rng = np.random.default_rng(16)
         obj = random_quadratic(10, rng)
-        cfg = SolverConfig(k_blocks=2, scheme="dynamic", seed=9, n_iters=10, repeats=6)
-        seq = run_repeats(obj, cfg, threads=1)
-        par = run_repeats(obj, cfg, threads=4)
+        cfg = SolverConfig(k_blocks=2, scheme="dynamic", seed=9, n_iters=10)
+        seq = run_repeats(obj, cfg, 6, threads=1)
+        par = run_repeats(obj, cfg, 6, threads=4)
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.subopts, b.subopts)
+
+    def test_run_repeats_fills_lazy_caches_once(self, monkeypatch):
+        # Slow counting wrappers widen the window in which concurrent
+        # repeats would each find a cache empty and fill it themselves.
+        from blockprec import SMOOTHNESS_BOUND, Glm, logistic, objectives
+        calls = {"optimum": [], "gram": []}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key].append(threading.get_ident())
+                time.sleep(0.05)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Glm, "_newton_reference",
+                            counted("optimum", Glm._newton_reference))
+        monkeypatch.setattr(objectives, "gram_matrix",
+                            counted("gram", objectives.gram_matrix))
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((30, 8))
+        obj = logistic(a, np.where(rng.standard_normal(30) >= 0, 1.0, -1.0), lam=1.0)
+        cfg = SolverConfig(k_blocks=2, scheme="dynamic", seed=3, n_iters=3,
+                           model=SMOOTHNESS_BOUND)
+        traces = run_repeats(obj, cfg, 4, threads=4)
+        assert {key: len(v) for key, v in calls.items()} == {"optimum": 1, "gram": 1}
+        assert len({t.f_star for t in traces}) == 1
 
     def test_matched_seeds_across_schemes(self):
         rng = np.random.default_rng(17)
         obj = random_quadratic(6, rng)
-        static = SolverConfig(k_blocks=2, scheme="static", seed=4, n_iters=3, repeats=4)
-        dynamic = SolverConfig(k_blocks=2, scheme="dynamic", seed=4, n_iters=3, repeats=4)
-        s_traces = run_repeats(obj, static)
-        d_traces = run_repeats(obj, dynamic)
+        static = SolverConfig(k_blocks=2, scheme="static", seed=4, n_iters=3)
+        dynamic = SolverConfig(k_blocks=2, scheme="dynamic", seed=4, n_iters=3)
+        s_traces = run_repeats(obj, static, 4)
+        d_traces = run_repeats(obj, dynamic, 4)
         for s, d in zip(s_traces, d_traces):
             assert s.config.seed == d.config.seed
 
@@ -230,8 +265,8 @@ class TestRun:
         finals = {}
         for scheme in ("static", "dynamic"):
             cfg = SolverConfig(k_blocks=8, scheme=scheme, seed=0, n_iters=60,
-                               model=EXACT_HESSIAN, repeats=6)
-            traces = run_repeats(obj, cfg)
+                               model=EXACT_HESSIAN)
+            traces = run_repeats(obj, cfg, 6)
             finals[scheme] = np.median([t.subopts[-1] for t in traces])
         assert finals["dynamic"] <= finals["static"]
 
