@@ -352,6 +352,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(parser, argv)
         return _COMMANDS[args.command](args, argv)
+    except SystemExit as exc:  # argparse after printing -h/--help
+        return exc.code
     except (SingularBlockError, DivergenceError, LineSearchError) as exc:
         print(f"blockprec: numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -116,8 +116,8 @@ class Glm:
     def __init__(self, a, y, loss: str, lam: float = 0.0, name: str = ""):
         if loss not in (SQUARED, LOGISTIC):
             raise InvalidArgumentError(f"unknown loss {loss!r}")
-        if lam < 0.0:
-            raise InvalidArgumentError(f"lambda must be non-negative, got {lam}")
+        if not 0.0 <= lam < np.inf:
+            raise InvalidArgumentError(f"lambda must be non-negative and finite, got {lam}")
         self.a = a if scipy.sparse.issparse(a) else np.asarray(a, dtype=float)
         self.y = np.asarray(y, dtype=float)
         if self.a.ndim != 2 or self.a.shape[0] != self.y.size:

@@ -188,8 +188,8 @@ class BlockCholesky:
     """Per-block Cholesky factorization of the masked matrix Q_P.
 
     Factors each principal block Q[P_k, P_k] (+ jitter on the diagonal)
-    once, and exposes the solve, inverse and congruence operations used by
-    the solver and the spectral analysis. Blocks are independent, so all
+    once, and exposes the solve and congruence operations used by the
+    solver and the spectral analysis. Blocks are independent, so all
     operations decompose per block and yield results identical to dense
     computations against block_mask(Q, P).
     """
@@ -208,9 +208,9 @@ class BlockCholesky:
             _check_entries(block, SYMMETRY_TOL, f"block {k}")
             if jitter:
                 block = block + jitter * np.eye(idx.size)
-            try:
-                lower = scipy.linalg.cholesky(block, lower=True, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
+            try:  # numpy's Cholesky, as in the batched spectral kernel, so both agree
+                lower = np.linalg.cholesky(block)
+            except np.linalg.LinAlgError as exc:
                 raise SingularBlockError(
                     k, f"block {k} (size {idx.size}) is not positive definite"
                     + ("" if jitter else "; consider a positive jitter")) from exc
@@ -225,14 +225,6 @@ class BlockCholesky:
         for idx, lower in zip(self._blocks, self._factors):
             d[idx] = scipy.linalg.cho_solve((lower, True), g[idx], check_finite=False)
         return d
-
-    def inverse(self):
-        """Dense inverse of Q_P (block-diagonal up to permutation)."""
-        inv = np.zeros((self.n, self.n))
-        for idx, lower in zip(self._blocks, self._factors):
-            inv[np.ix_(idx, idx)] = scipy.linalg.cho_solve(
-                (lower, True), np.eye(idx.size), check_finite=False)
-        return inv
 
     def whiten(self, q):
         """Congruence transform L^{-1} Q L^{-T} where Q_P = L L^T.

@@ -9,6 +9,7 @@ order, so results never depend on the thread count.
 """
 
 import hashlib
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidArgumentError
@@ -19,7 +20,11 @@ MAX_SEED = 2**64 - 1
 
 
 def check_seed(seed):
-    """Raise InvalidArgumentError unless ``seed`` lies in [0, 2^64)."""
+    """Raise InvalidArgumentError unless ``seed`` is an integer in [0, 2^64)."""
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}") from None
     if not 0 <= seed <= MAX_SEED:
         raise InvalidArgumentError(f"seed must lie in [0, 2^64), got {seed}")
 

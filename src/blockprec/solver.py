@@ -31,8 +31,8 @@ class FixedStep:
     eta: float | None = None
 
     def __post_init__(self):
-        if self.eta is not None and self.eta <= 0.0:
-            raise InvalidArgumentError(f"step size must be positive, got {self.eta}")
+        if self.eta is not None and not 0.0 < self.eta < np.inf:
+            raise InvalidArgumentError(f"step size must be positive and finite, got {self.eta}")
 
     def resolve(self, k_blocks: int) -> float:
         return 1.0 / k_blocks if self.eta is None else self.eta
@@ -81,6 +81,8 @@ class SolverConfig:
             raise InvalidArgumentError("n_iters must be non-negative")
         if self.model not in objectives.CURVATURE_MODELS:
             raise InvalidArgumentError(f"unknown curvature model {self.model!r}")
+        if not 0.0 <= self.jitter < np.inf:
+            raise InvalidArgumentError(f"jitter must be non-negative and finite, got {self.jitter}")
 
     def to_json_dict(self):
         step = {"kind": "fixed", "eta": self.step.eta} if isinstance(self.step, FixedStep) \

@@ -44,14 +44,9 @@ def _min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
 
 
-def _lambda_min(chol, q) -> float:
-    """lambda_min(Q_P^{-1} Q) from an existing factorization of Q_P."""
-    return _min_eigenvalue(chol.whiten(q))
-
-
 def lambda_min_precond(q, part: Partitioning, jitter: float = 0.0) -> float:
     """Smallest eigenvalue of Q_P^{-1} Q."""
-    return _lambda_min(BlockCholesky(q, part, jitter=jitter), q)
+    return _min_eigenvalue(BlockCholesky(q, part, jitter=jitter).whiten(q))
 
 
 def lambda_min_of_expected(expected_inverse, q) -> float:
@@ -67,73 +62,73 @@ def lambda_min_of_expected(expected_inverse, q) -> float:
     return _min_eigenvalue(lower.T @ q @ lower)
 
 
-def expected_inverse_mc(q, k_blocks: int, n_samples: int, seed: int, threads: int = 1):
-    """Monte Carlo mean of Q_P^{-1} over sampled partitionings.
+def _mean_inverse(q, parts):
+    """Mean of Q_P^{-1} over the partitionings ``parts`` of a validated Q.
 
-    Returns (mean, batch_means) where batch_means are the per-batch means
-    used for standard-error estimation. Sample i uses the derived seed
-    derive_seed(seed, i); accumulation happens batch by batch in index
-    order, so the result is bit-identical for any thread count.
+    Per chunk of at most max(n^2, 2^16) stacked entries, the blocks of each
+    size form one stack that one batched Cholesky inverts and one bincount
+    over flat indices n*i + j sums into place. A block that is not positive
+    definite raises the SingularBlockError that BlockCholesky raises for it.
     """
-    q = check_symmetric_matrix(q)
+    n = q.shape[0]
+    total = np.zeros(n * n)
+    step = max(n * n, 2**16) // int(np.sum(parts[0].block_sizes() ** 2))
+    for start in range(0, len(parts), step):
+        chunk = parts[start:start + step]
+        # Coordinates by (block size, chunk-wide block id), ascending within a block.
+        ids = np.concatenate([p.assignment + n * s for s, p in enumerate(chunk)])
+        sizes = np.bincount(ids)[ids]
+        order = np.lexsort((ids, sizes))
+        coords, sizes = order % n, sizes[order]
+        for size in np.unique(sizes):
+            idx = coords[sizes == size].reshape(-1, size)
+            where = idx[:, :, None] * n + idx[:, None, :]
+            try:
+                inv_lower = np.linalg.inv(np.linalg.cholesky(q.ravel()[where]))
+            except np.linalg.LinAlgError:
+                for part in chunk:
+                    BlockCholesky(q, part)  # raises SingularBlockError naming the block
+                raise
+            inverse = inv_lower.transpose(0, 2, 1) @ inv_lower
+            total += np.bincount(where.ravel(), inverse.ravel(), minlength=n * n)
+    return (total / len(parts)).reshape(n, n)
+
+
+def _sampled_partitions(n, k_blocks, n_samples, seed):
+    """The Monte Carlo partitionings: sample i is drawn with seed derive_seed(seed, i)."""
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be at least 1")
-    n = q.shape[0]
-
-    def inverse_for(i):
-        part = sample_uniform_partition(n, k_blocks, derive_seed(seed, i))
-        return BlockCholesky(q, part).inverse()
-
-    n_batches = min(N_BATCHES, n_samples)
-    bounds = np.linspace(0, n_samples, n_batches + 1).astype(int)
-    batch_means = []
-    total = np.zeros((n, n))
-    for b in range(n_batches):
-        indices = list(range(bounds[b], bounds[b + 1]))
-        acc = np.zeros((n, n))
-        for inv in map_ordered(inverse_for, indices, threads):
-            acc += inv
-        batch_means.append(acc / len(indices))
-        total += acc
-    return total / n_samples, batch_means
+    return [sample_uniform_partition(n, k_blocks, derive_seed(seed, i)) for i in range(n_samples)]
 
 
-def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int, threads: int = 1):
+def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
     """Monte Carlo estimate of lambda_min(E[Q_P^{-1}] Q) with standard error.
 
     Returns (estimate, stderr). The estimate is lambda_min of the
     congruence L^T Q L, E = L L^T, built from the full mean of sampled
     block inverses; the standard error comes from the spread of the same
-    statistic over 10 sample batches. Deterministic given the seed.
+    statistic over 10 sample batches, streamed into that mean one by one.
+    Deterministic given the seed.
     """
-    mean, batch_means = expected_inverse_mc(q, k_blocks, n_samples, seed, threads=threads)
-    value = lambda_min_of_expected(mean, q)
-    if len(batch_means) < 2:
-        return value, 0.0
-    batch_values = [lambda_min_of_expected(b, q) for b in batch_means]
-    stderr = float(np.std(batch_values, ddof=1) / np.sqrt(len(batch_values)))
-    return value, stderr
-
-
-def _exact_mean_inverse(q, k_blocks, cap, lambdas=None):
-    """Mean of Q_P^{-1} over all equal-size partitionings of a validated Q.
-
-    With a list ``lambdas``, each lambda_min(Q_P^{-1} Q) is appended to it
-    from the same factorization, in enumeration order.
-    """
-    parts = enumerate_partitions(q.shape[0], k_blocks, cap=cap)
+    q = check_symmetric_matrix(q)
+    parts = _sampled_partitions(q.shape[0], k_blocks, n_samples, seed)
+    bounds = np.linspace(0, n_samples, min(N_BATCHES, n_samples) + 1).astype(int)
     total = np.zeros_like(q)
-    for part in parts:
-        chol = BlockCholesky(q, part)
-        if lambdas is not None:
-            lambdas.append(_lambda_min(chol, q))
-        total += chol.inverse()
-    return total / len(parts)
+    batch_values = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        mean = _mean_inverse(q, parts[lo:hi])
+        batch_values.append(lambda_min_of_expected(mean, q))
+        total += (hi - lo) * mean
+    if len(batch_values) < 2:
+        return batch_values[0], 0.0
+    stderr = float(np.std(batch_values, ddof=1) / np.sqrt(len(batch_values)))
+    return lambda_min_of_expected(total / n_samples, q), stderr
 
 
 def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Exact mean of Q_P^{-1} over all equal-size partitionings."""
-    return _exact_mean_inverse(check_symmetric_matrix(q), k_blocks, cap)
+    q = check_symmetric_matrix(q)
+    return _mean_inverse(q, enumerate_partitions(q.shape[0], k_blocks, cap=cap))
 
 
 def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -225,23 +220,28 @@ def separable_toy(alpha: float) -> SeparableToy:
     return SeparableToy(alpha, 1.0, 1.0 - alpha, 1.0 / 3.0 + (2.0 / 3.0) * (1.0 - alpha))
 
 
-def _expected_inverse(q, k_blocks, scheme, partitioning, mc_samples, seed, exact, cap,
-                      threads):
+def _expected_inverse(q, k_blocks, scheme, partitioning, mc_samples, seed, exact, cap):
     """E[Q_P^{-1}] of a validated Q: the static/exact/MC dispatch all rates share."""
     if scheme not in SCHEMES:
         raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    n = q.shape[0]
     if scheme == STATIC:
         if partitioning is None:
             raise InvalidArgumentError("the static scheme needs an explicit partitioning")
-        return BlockCholesky(q, partitioning).inverse()
-    if exact:
-        return _exact_mean_inverse(q, k_blocks, cap)
-    return expected_inverse_mc(q, k_blocks, mc_samples, seed, threads=threads)[0]
+        if (partitioning.n, partitioning.k_blocks) != (n, k_blocks):
+            raise InvalidArgumentError(f"the partitioning has {partitioning.k_blocks} blocks over "
+                                       f"{partitioning.n} coordinates, not {k_blocks} over {n}")
+        parts = [partitioning]
+    elif exact:
+        parts = enumerate_partitions(n, k_blocks, cap=cap)
+    else:
+        parts = _sampled_partitions(n, k_blocks, mc_samples, seed)
+    return _mean_inverse(q, parts)
 
 
 def rate_quadratic(q, k_blocks: int, scheme: str, partitioning: Partitioning | None = None,
                    mc_samples: int = 1000, seed: int = 0, exact: bool = False,
-                   cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1) -> float:
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Linear rate constant rho = lambda_min / K for exact quadratic curvature.
 
     Static uses lambda_min(Q_P^{-1} Q) for the given partitioning; dynamic
@@ -250,14 +250,14 @@ def rate_quadratic(q, k_blocks: int, scheme: str, partitioning: Partitioning | N
     """
     q = check_symmetric_matrix(q)
     expected = _expected_inverse(q, k_blocks, scheme, partitioning,
-                                 mc_samples, seed, exact, cap, threads)
+                                 mc_samples, seed, exact, cap)
     return lambda_min_of_expected(expected, q) / k_blocks
 
 
 def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme: str,
              mc_samples: int = 1000, seed: int = 0, partitioning: Partitioning | None = None,
              exact: bool = False, lambda_shift: float = 0.0,
-             cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1) -> float:
+             cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Rate constant mu/(K gamma) * lambda_min(A E[M_P^{-1}] A^T) for GLMs.
 
     M = A^T A (plus ``lambda_shift`` I when its blocks would be singular)
@@ -278,7 +278,7 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme:
     shifted = gram + lambda_shift * np.eye(n) if lambda_shift else gram
     try:
         expected = _expected_inverse(shifted, k_blocks, scheme, partitioning,
-                                     mc_samples, seed, exact, cap, threads)
+                                     mc_samples, seed, exact, cap)
     except SingularBlockError as exc:
         raise SingularBlockError(
             exc.block, f"{exc}; pass lambda_shift > 0 to regularize the masked blocks"
@@ -326,7 +326,7 @@ class GeneralRate:
 def rate_general(q, k_blocks: int, params: GeneralModelParams, scheme: str,
                  mc_samples: int = 1000, seed: int = 0,
                  partitioning: Partitioning | None = None, exact: bool = False,
-                 cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1) -> GeneralRate:
+                 cap: int = DEFAULT_ENUMERATION_CAP) -> GeneralRate:
     """Decrease constant rho = xi/(2K) lambda_min(Q^T E[Q_P^{-1}] Q).
 
     Also reports the induced contraction factor 1 - rho (1 - alpha)/L.
@@ -334,7 +334,7 @@ def rate_general(q, k_blocks: int, params: GeneralModelParams, scheme: str,
     """
     q = check_symmetric_matrix(q)
     expected = _expected_inverse(q, k_blocks, scheme, partitioning,
-                                 mc_samples, seed, exact, cap, threads)
+                                 mc_samples, seed, exact, cap)
     lam = _min_eigenvalue(q.T @ expected @ q)
     rho = params.xi / (2.0 * k_blocks) * lam
     return GeneralRate(rho, 1.0 - rho * (1.0 - params.alpha_decrease) / params.l_lipschitz)
@@ -415,27 +415,25 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
                  cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1) -> SpectralReport:
     """Sample the eigenvalue distribution and estimate the repartitioning value.
 
-    In sampled mode, ``n_samples`` partitionings feed both the
-    distribution and the Monte Carlo mean (with derived, disjoint seed
-    streams). In exact mode every equal-size partitioning is enumerated
-    once and the expectation is the exact average.
+    The distribution of lambda_min(Q_P^{-1} Q) runs on ``threads`` workers.
+    In sampled mode it and the Monte Carlo mean each use ``n_samples``
+    partitionings from disjoint derived seed streams; in exact mode both
+    use every equal-size partitioning, enumerated once.
     """
     q = check_symmetric_matrix(q)
     n = q.shape[0]
     if exact:
-        lambdas = []
-        value = lambda_min_of_expected(_exact_mean_inverse(q, k_blocks, cap, lambdas), q)
-        samples = [SpectralSample(i, lam) for i, lam in enumerate(lambdas)]
-        return SpectralReport(n, k_blocks, samples, value, "exact", len(samples), None,
-                              closed_form)
-    violin_seed = derive_seed(seed, 0)
-    mc_seed = derive_seed(seed, 1)
-    keys = [derive_seed(violin_seed, i) for i in range(n_samples)]
-
-    def lam_for(key):
-        return _lambda_min(BlockCholesky(q, sample_uniform_partition(n, k_blocks, key)), q)
-
-    values = list(map_ordered(lam_for, keys, threads))
-    samples = [SpectralSample(k, v) for k, v in zip(keys, values)]
-    value, stderr = expected_lambda_mc(q, k_blocks, n_samples, mc_seed, threads=threads)
-    return SpectralReport(n, k_blocks, samples, value, "mc", n_samples, stderr, closed_form)
+        parts = enumerate_partitions(n, k_blocks, cap=cap)
+        keys = range(len(parts))
+    else:
+        violin_seed = derive_seed(seed, 0)
+        keys = [derive_seed(violin_seed, i) for i in range(n_samples)]
+        parts = [sample_uniform_partition(n, k_blocks, key) for key in keys]
+    values = map_ordered(lambda part: lambda_min_precond(q, part), parts, threads)
+    samples = [SpectralSample(key, lam) for key, lam in zip(keys, values)]
+    if exact:
+        value, stderr = lambda_min_of_expected(_mean_inverse(q, parts), q), None
+    else:
+        value, stderr = expected_lambda_mc(q, k_blocks, n_samples, derive_seed(seed, 1))
+    return SpectralReport(n, k_blocks, samples, value, "exact" if exact else "mc",
+                          len(samples), stderr, closed_form)

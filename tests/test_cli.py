@@ -389,13 +389,31 @@ class TestExitContract:
         capsys.readouterr()
         self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", seed), capsys)
 
+    @pytest.mark.parametrize("flags", [("--eta", "nan"), ("--eta", "inf"), ("--jitter", "nan"),
+                                       ("--objective", "logistic", "--reg", "inf")])
+    def test_non_finite_solver_value(self, tmp_path, capsys, flags):
+        qfile = tmp_path / "u"
+        run_cli("gen", "--kind", "uniform", "--n", 8, "--alpha", 0.1,
+                "--seed", 0, "--out", qfile)
+        capsys.readouterr()
+        code = run_cli("solve", "--objective", "quadratic", "--q", str(qfile) + ".q", "--k", 2,
+                       "--t", 5, "--seed", 0, "--out", tmp_path / "run", *flags)
+        self.assert_one_line_exit_2(code, capsys)
+        assert not list(tmp_path.glob("run*"))
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_returns_0(self, capsys, flag):
+        assert main(["spectral", flag]) == 0
+        assert capsys.readouterr().out.startswith("usage: blockprec spectral")
+
 
 # --- exit-code contract under fuzzed argv and --config -------------------
 #
 # An invocation starts from valid flag values for its subcommand, then up to
-# two flags are dropped or given a wild value, and some flags may move into
-# a --config object, next to junk keys and values. Sizes stay at most 32 and
-# --threads at most 2, so every example runs in milliseconds.
+# two flags are dropped or given a wild value, some flags may move into a
+# --config object, next to junk keys and values, and -h/--help may be put
+# anywhere. Sizes stay at most 32 and --threads at most 2, so every example
+# runs in milliseconds.
 
 _REAL = st.one_of(st.floats(-2.0, 2.0),
                   st.sampled_from([0.0, 1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]))
@@ -493,6 +511,8 @@ def _invocation(draw, root):
             argv.append(f"--{name}={values[name]}")
         else:
             argv += [f"--{name}", str(values[name])]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help"])))
     return argv, config
 
 

@@ -31,3 +31,15 @@ def test_seed_outside_64_bits_rejected(name, seed):
 def test_seed_range_ends_accepted(name):
     for seed in (0, 2**64 - 1):
         SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 3.0, "3", None])
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_non_integer_seed_rejected(name, seed):
+    with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
+        SEEDED[name](seed)
+
+
+def test_integer_types_accepted():
+    assert derive_seed(np.uint64(7), 0) == derive_seed(7, 0) == derive_seed(np.int32(7), 0)
+    assert derive_seed(1, 0) != derive_seed(2, 0)

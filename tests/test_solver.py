@@ -292,3 +292,20 @@ class TestGeneralModelParams:
             GeneralModelParams(alpha_decrease=1.0)
         with pytest.raises(InvalidArgumentError):
             GeneralModelParams(l_lipschitz=0.0)
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1.0])
+    def test_step_must_be_positive_and_finite(self, eta):
+        with pytest.raises(InvalidArgumentError, match="step size"):
+            FixedStep(eta)
+
+    @pytest.mark.parametrize("jitter", [np.nan, np.inf, -1.0])
+    def test_jitter_must_be_non_negative_and_finite(self, jitter):
+        with pytest.raises(InvalidArgumentError, match="jitter"):
+            SolverConfig(k_blocks=2, jitter=jitter)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+    def test_regularization_must_be_non_negative_and_finite(self, lam):
+        with pytest.raises(InvalidArgumentError, match="lambda"):
+            ridge(np.eye(3), np.zeros(3), lam=lam)

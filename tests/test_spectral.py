@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockprec import (
     BlockCholesky,
@@ -12,7 +14,9 @@ from blockprec import (
     Partitioning,
     SingularBlockError,
     UnsupportedLossError,
+    block_mask,
     build_report,
+    derive_seed,
     enumerate_partitions,
     expected_lambda_exact,
     expected_lambda_mc,
@@ -379,16 +383,79 @@ class TestReport:
         assert len(built) == len(report.samples) == 10
         built.clear()
         build_report(q, 2, n_samples=7, seed=3)
-        assert len(built) == 14  # 7 distribution samples plus 7 disjoint MC samples
+        assert len(built) == 7  # the distribution samples; the MC mean is batched
 
     def test_mc_expected_inverse_batchwise_matches_plain_mean(self):
-        from blockprec.spectral import expected_inverse_mc
-        from blockprec.seeding import derive_seed
+        # value and stderr against 10 dense batch means over the same bounds
         q = gen_uniform_q(8, 0.3)
-        mean, batches = expected_inverse_mc(q, 2, 25, seed=4)
-        direct = np.zeros_like(q)
-        for i in range(25):
-            part = sample_uniform_partition(8, 2, derive_seed(4, i))
-            direct += BlockCholesky(q, part).inverse()
-        np.testing.assert_allclose(mean, direct / 25, atol=1e-12)
-        assert len(batches) == 10
+        value, stderr = expected_lambda_mc(q, 2, 25, seed=4)
+        inverses = [np.linalg.inv(block_mask(q, sample_uniform_partition(8, 2, derive_seed(4, i))))
+                    for i in range(25)]
+        bounds = np.linspace(0, 25, 11).astype(int)
+        batches = [dense_lambda(np.mean(inverses[lo:hi], axis=0), q)
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+        assert value == pytest.approx(dense_lambda(np.mean(inverses, axis=0), q), rel=1e-10)
+        assert stderr == pytest.approx(np.std(batches, ddof=1) / np.sqrt(10), rel=1e-6)
+
+
+def dense_mean_inverse(q, parts):
+    return sum(np.linalg.inv(block_mask(q, p)) for p in parts) / len(parts)
+
+
+def dense_lambda(expected, q):
+    """lambda_min of the nonsymmetric product E Q."""
+    return float(np.min(np.linalg.eigvals(expected @ q).real))
+
+
+class TestMeanInverseKernel:
+    """Every mean of block inverses against dense inv(block_mask) oracles."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_exact_matches_dense_enumeration(self, n, data):
+        k = data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+        q = random_spd(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
+        want = dense_mean_inverse(q, enumerate_partitions(n, k))
+        np.testing.assert_allclose(expected_inverse_exact(q, k), want, rtol=1e-10, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 24), data=st.data())
+    def test_dynamic_rate_matches_dense_replay(self, n, data):
+        k = data.draw(st.integers(1, n))
+        samples = data.draw(st.integers(1, 30))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        q = random_spd(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
+        parts = [sample_uniform_partition(n, k, derive_seed(seed, i)) for i in range(samples)]
+        want = dense_lambda(dense_mean_inverse(q, parts), q) / k
+        got = rate_quadratic(q, k, "dynamic", mc_samples=samples, seed=seed)
+        assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
+
+    def test_mean_spanning_several_chunks(self):
+        # 5775 partitionings of 3 blocks of 4x4: several chunks of 2^16 entries
+        q = random_spd(12, np.random.default_rng(3))
+        parts = enumerate_partitions(12, 3)
+        assert len(parts) * 3 * 16 > 4 * 2**16
+        np.testing.assert_allclose(expected_inverse_exact(q, 3), dense_mean_inverse(q, parts),
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_singular_block_named_as_block_cholesky_names_it(self):
+        q = np.eye(4)
+        q[2, 3] = q[3, 2] = 2.0  # the block {2, 3} is indefinite
+        first = enumerate_partitions(4, 2)[0]
+        with pytest.raises(SingularBlockError) as direct:
+            BlockCholesky(q, first)
+        with pytest.raises(SingularBlockError) as exact:
+            expected_inverse_exact(q, 2)
+        with pytest.raises(SingularBlockError) as static:
+            rate_quadratic(q, 2, "static", partitioning=first)
+        assert direct.value.block == exact.value.block == static.value.block == 1
+        assert str(direct.value) == str(exact.value) == str(static.value)
+
+    def test_static_partitioning_must_match_k(self):
+        part = sample_uniform_partition(6, 2, 1)
+        with pytest.raises(InvalidArgumentError, match="2 blocks"):
+            rate_quadratic(np.eye(6), 3, "static", partitioning=part)
+        with pytest.raises(InvalidArgumentError, match="2 blocks"):
+            rate_glm(np.eye(6), 1.0, 1.0, 3, "static", partitioning=part)
+        with pytest.raises(InvalidArgumentError, match="2 blocks"):
+            rate_general(np.eye(6), 3, GeneralModelParams(), "static", partitioning=part)
