@@ -22,6 +22,7 @@ from .partition import (
     Partitioning,
     block_mask,
     check_symmetric_matrix,
+    diagonal_blocks,
     enumerate_partitions,
     partition_count,
     sample_uniform_partition,

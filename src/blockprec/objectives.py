@@ -1,11 +1,12 @@
 """Objective functions: quadratic, ridge regression, logistic regression.
 
 Each objective exposes its value, gradient, a curvature-model matrix used
-for preconditioning, and its optimum. Curvature comes in two flavours:
-the exact Hessian (which depends on the iterate for logistic loss) and an
-iterate-independent smoothness bound gamma_ell * A^T A. Regularized
-objectives fold lambda/2 ||x||^2 into the value and lambda * I into the
-curvature.
+for preconditioning (in full, or only the diagonal blocks of a
+partitioning, which is all the solver factors), and its optimum.
+Curvature comes in two flavours: the exact Hessian (which depends on the
+iterate for logistic loss) and an iterate-independent smoothness bound
+gamma_ell * A^T A. Regularized objectives fold lambda/2 ||x||^2 into the
+value and lambda * I into the curvature.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import scipy.sparse
 from scipy.special import expit
 
 from .errors import BlockprecError, InvalidArgumentError, UnsupportedLossError
-from .partition import check_symmetric_matrix
+from .partition import check_symmetric_matrix, diagonal_blocks
 
 EXACT_HESSIAN = "exact_hessian"
 SMOOTHNESS_BOUND = "smoothness_bound"
@@ -84,6 +85,12 @@ class Quadratic:
         _check_model(model)
         return self.h
 
+    def block_curvature(self, x, part, model=EXACT_HESSIAN):
+        """Diagonal blocks H[P_k, P_k] of ``curvature(x, model)``, in ``part.blocks()`` order."""
+        _check_x(x, self.n)
+        _check_model(model)
+        return diagonal_blocks(self.h, part)
+
     def curvature_is_constant(self, model) -> bool:
         """Whether ``curvature(x, model)`` is the same for every x: always, it is H."""
         _check_model(model)
@@ -109,8 +116,10 @@ class Glm:
 
     ``loss`` is "squared" (ridge regression, ell(v) = 1/2 ||v - y||^2) or
     "logistic" (ell(v) = sum_i log(1 + exp(-y_i v_i)), labels in {-1, +1}).
-    A may be dense or scipy.sparse; curvature products A^T D A never
-    densify A itself.
+    A may be dense or scipy.sparse. The full curvature A^T D A never
+    densifies A. For logistic loss a column-major copy of A (CSC when A is
+    sparse) is kept, from which ``block_curvature`` densifies one m x n_k
+    column slice A[:, P_k] at a time.
     """
 
     def __init__(self, a, y, loss: str, lam: float = 0.0, name: str = ""):
@@ -132,6 +141,11 @@ class Glm:
         self.mu_loss = LOSS_MU[loss]
         self._gram = None
         self._optimum = None
+        # Column-major A, sliced per block by the exact logistic Hessian only.
+        self._columns = None
+        if loss == LOGISTIC:
+            self._columns = self.a.tocsc() if scipy.sparse.issparse(self.a) \
+                else np.asfortranarray(self.a)
 
     @property
     def n(self) -> int:
@@ -169,11 +183,10 @@ class Glm:
             g = -np.asarray(self.a.T @ (self.y * expit(-self.y * v)), dtype=float).ravel()
         return g + self.lam * x
 
-    def _weighted_gram(self, weights):
-        if scipy.sparse.issparse(self.a):
-            aw = self.a.multiply(weights[:, None])
-            return np.asarray((self.a.T @ aw).todense(), dtype=float)
-        return self.a.T @ (weights[:, None] * self.a)
+    def _hessian_weights(self, x):
+        """Row weights sigma(1 - sigma) of the exact logistic Hessian A^T D A at x."""
+        sig = expit(self.y * self._margins(x))
+        return sig * (1.0 - sig)
 
     def curvature_is_constant(self, model) -> bool:
         """Whether ``curvature(x, model)`` is the same for every x.
@@ -189,9 +202,36 @@ class Glm:
         reg = self.lam * np.eye(self.n)
         if self.curvature_is_constant(model):
             return self.gamma_loss * self.gram() + reg
-        sig = expit(self.y * self._margins(x))
-        q = self._weighted_gram(sig * (1.0 - sig))
+        weights = self._hessian_weights(x)[:, None]
+        if scipy.sparse.issparse(self.a):
+            q = np.asarray((self.a.T @ self.a.multiply(weights)).todense(), dtype=float)
+        else:
+            q = self.a.T @ (weights * self.a)
         return 0.5 * (q + q.T) + reg
+
+    def block_curvature(self, x, part, model=EXACT_HESSIAN):
+        """Diagonal blocks of ``curvature(x, model)``, in ``part.blocks()`` order.
+
+        Constant curvature slices the cached Gram: gamma_ell G[P_k, P_k] + lambda I.
+        The exact logistic Hessian takes one margin pass for the weights w and
+        forms each block as B_k^T B_k + lambda I with B_k = sqrt(w) o A[:, P_k],
+        so beyond the column-major copy of A it holds one dense m x n_k slice.
+        """
+        x = _check_x(x, self.n)
+        if self.curvature_is_constant(model):
+            return [self.gamma_loss * block + self.lam * np.eye(block.shape[0])
+                    for block in diagonal_blocks(self.gram(), part)]
+        if part.n != self.n:
+            raise InvalidArgumentError(
+                f"partitioning over {part.n} coordinates does not match n = {self.n}")
+        root_w = np.sqrt(self._hessian_weights(x))[:, None]
+        blocks = []
+        for idx in part.blocks():
+            cols = self._columns[:, idx]  # a fresh copy, scaled in place
+            cols = cols.toarray() if scipy.sparse.issparse(cols) else cols
+            cols *= root_w
+            blocks.append(cols.T @ cols + self.lam * np.eye(idx.size))
+        return blocks
 
     def optimum(self):
         """Minimizer and minimum value.

@@ -77,10 +77,18 @@ class Partitioning:
         return self.assignment.size
 
     def blocks(self):
-        """Index arrays of the blocks, ordered by block label."""
-        order = np.argsort(self.assignment, kind="stable")
-        counts = np.bincount(self.assignment, minlength=self.k_blocks)
-        return np.split(order, np.cumsum(counts)[:-1])
+        """Index arrays of the blocks, ordered by block label, ascending within a block.
+
+        Computed on the first call and shared by every later one, so the
+        arrays are read-only.
+        """
+        blocks = self.__dict__.get("_blocks")
+        if blocks is None:
+            order = np.argsort(self.assignment, kind="stable")
+            order.setflags(write=False)
+            blocks = tuple(np.split(order, np.cumsum(self.block_sizes())[:-1]))
+            object.__setattr__(self, "_blocks", blocks)
+        return blocks
 
     def block_sizes(self):
         return np.bincount(self.assignment, minlength=self.k_blocks)
@@ -184,27 +192,42 @@ def block_mask(q, part: Partitioning):
     return np.where(same, q, 0.0)
 
 
+def diagonal_blocks(q, part: Partitioning):
+    """The principal blocks Q[P_k, P_k] of ``q`` in ``part.blocks()`` order.
+
+    Only the shape is checked here; ``BlockCholesky`` checks the blocks it
+    is given.
+    """
+    q = _check_dims(q, part)
+    return [q[np.ix_(idx, idx)] for idx in part.blocks()]
+
+
 class BlockCholesky:
     """Per-block Cholesky factorization of the masked matrix Q_P.
 
-    Factors each principal block Q[P_k, P_k] (+ jitter on the diagonal)
-    once, and exposes the solve and congruence operations used by the
-    solver and the spectral analysis. Blocks are independent, so all
-    operations decompose per block and yield results identical to dense
-    computations against block_mask(Q, P).
+    Takes the principal blocks Q[P_k, P_k] in ``part.blocks()`` order (from
+    ``diagonal_blocks(q, part)`` or an objective's ``block_curvature``),
+    checks and factors each one (+ jitter on the diagonal) once, and exposes
+    the solve and congruence operations used by the solver and the spectral
+    analysis. Blocks are independent, so all operations decompose per block
+    and yield results identical to dense computations against
+    block_mask(Q, P).
     """
 
-    def __init__(self, q, part: Partitioning, jitter: float = 0.0):
-        # Only the diagonal blocks are read, so only they are checked here.
-        q = _check_dims(q, part)
-        if jitter < 0:
-            raise InvalidArgumentError("jitter must be non-negative")
+    def __init__(self, blocks, part: Partitioning, jitter: float = 0.0):
+        if not 0.0 <= jitter < np.inf:
+            raise InvalidArgumentError(f"jitter must be non-negative and finite, got {jitter}")
         self.part = part
         self.n = part.n
         self._blocks = part.blocks()
+        if len(blocks) != len(self._blocks):
+            raise InvalidArgumentError(f"expected {len(self._blocks)} blocks, got {len(blocks)}")
         self._factors = []
-        for k, idx in enumerate(self._blocks):
-            block = q[np.ix_(idx, idx)]
+        for k, (idx, block) in enumerate(zip(self._blocks, blocks)):
+            block = np.asarray(block, dtype=float)
+            if block.shape != (idx.size, idx.size):
+                raise InvalidArgumentError(
+                    f"block {k} has shape {block.shape}, expected ({idx.size}, {idx.size})")
             _check_entries(block, SYMMETRY_TOL, f"block {k}")
             if jitter:
                 block = block + jitter * np.eye(idx.size)

@@ -130,19 +130,21 @@ class ConvergenceTrace:
         }
 
 
-def armijo_step_size(obj, x, d, c1: float, shrink: float, max_backtracks: int) -> float:
+def armijo_step_size(obj, x, fx: float, g, d, c1: float, shrink: float,
+                     max_backtracks: int) -> float:
     """Largest beta in {1, shrink, shrink^2, ...} passing the Armijo test.
 
-    The test is f(x + beta d) <= f(x) + c1 * beta * grad f(x)^T d. At most
-    ``max_backtracks`` candidates are tried; d must be a descent direction.
+    The test is f(x + beta d) <= f(x) + c1 * beta * g^T d, where ``fx`` and
+    ``g`` are f(x) and grad f(x), which the caller has already evaluated. At
+    most ``max_backtracks`` candidates are tried; d must be a descent
+    direction.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    slope = float(obj.gradient(x) @ d)
+    slope = float(np.asarray(g, dtype=float) @ d)
     if slope >= 0.0:
         raise InvalidArgumentError(
             f"not a descent direction (grad^T d = {slope:.3e} >= 0)")
-    fx = obj.value(x)
     beta = 1.0
     for _ in range(max_backtracks):
         if obj.value(x + beta * d) <= fx + c1 * beta * slope:
@@ -158,8 +160,11 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
     The static scheme draws a single partitioning from ``config.seed`` and
     keeps it for all iterations; the dynamic scheme derives a fresh seed
     (and partitioning) per iteration from the base seed. Deterministic
-    given the config. A non-finite objective value aborts the run with a
-    DivergenceError carrying the partial trace.
+    given the config. Each iterate's value and gradient are evaluated once,
+    when it is recorded, and the preconditioner is factored from the
+    objective's ``block_curvature``, so no full n x n curvature is formed. A
+    non-finite objective value aborts the run with a DivergenceError
+    carrying the partial trace.
     """
     n = obj.n
     t_max = config.n_iters
@@ -174,39 +179,41 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
         static_part = None
 
     eta = config.step.resolve(config.k_blocks) if isinstance(config.step, FixedStep) else None
-    cached_chol = None
-    if static_part is not None and obj.curvature_is_constant(config.model):
-        cached_chol = BlockCholesky(obj.curvature(x, config.model), static_part,
-                                    jitter=config.jitter)
+    reuse_chol = static_part is not None and obj.curvature_is_constant(config.model)
+    chol = None
 
     fvals = np.empty(t_max + 1)
     subopts = np.empty(t_max + 1)
     gradnorms = np.empty(t_max + 1)
 
     def record(t):
+        """Record iterate t and return its gradient."""
         fvals[t] = obj.value(x)
         subopts[t] = obj.suboptimality(x)
-        gradnorms[t] = np.linalg.norm(obj.gradient(x))
+        grad = obj.gradient(x)
+        gradnorms[t] = np.linalg.norm(grad)
         if not np.isfinite(fvals[t]):
             partial = ConvergenceTrace(fvals[:t + 1].copy(), subopts[:t + 1].copy(),
                                        gradnorms[:t + 1].copy(), seeds[:t], x.copy(),
                                        f_star, config)
             raise DivergenceError(f"objective became non-finite at iteration {t}", partial)
+        return grad
 
-    record(0)
+    grad = record(0)
     for t in range(t_max):
         part = static_part if static_part is not None \
             else sample_uniform_partition(n, config.k_blocks, seeds[t])
-        chol = cached_chol if cached_chol is not None \
-            else BlockCholesky(obj.curvature(x, config.model), part, jitter=config.jitter)
-        d = -chol.solve(obj.gradient(x))
+        if chol is None or not reuse_chol:
+            chol = BlockCholesky(obj.block_curvature(x, part, config.model), part,
+                                 jitter=config.jitter)
+        d = -chol.solve(grad)
         if eta is not None:
             x = x + eta * d
         else:
-            beta = armijo_step_size(obj, x, d, config.step.c1, config.step.shrink,
-                                    config.step.max_backtracks)
+            beta = armijo_step_size(obj, x, fvals[t], grad, d, config.step.c1,
+                                    config.step.shrink, config.step.max_backtracks)
             x = x + beta * d
-        record(t + 1)
+        grad = record(t + 1)
 
     return ConvergenceTrace(fvals, subopts, gradnorms, seeds, x, f_star, config)
 

@@ -30,6 +30,7 @@ from .partition import (
     BlockCholesky,
     Partitioning,
     check_symmetric_matrix,
+    diagonal_blocks,
     enumerate_partitions,
     sample_uniform_partition,
 )
@@ -46,7 +47,7 @@ def _min_eigenvalue(m) -> float:
 
 def lambda_min_precond(q, part: Partitioning, jitter: float = 0.0) -> float:
     """Smallest eigenvalue of Q_P^{-1} Q."""
-    return _min_eigenvalue(BlockCholesky(q, part, jitter=jitter).whiten(q))
+    return _min_eigenvalue(BlockCholesky(diagonal_blocks(q, part), part, jitter=jitter).whiten(q))
 
 
 def lambda_min_of_expected(expected_inverse, q) -> float:
@@ -87,7 +88,8 @@ def _mean_inverse(q, parts):
                 inv_lower = np.linalg.inv(np.linalg.cholesky(q.ravel()[where]))
             except np.linalg.LinAlgError:
                 for part in chunk:
-                    BlockCholesky(q, part)  # raises SingularBlockError naming the block
+                    # raises SingularBlockError naming the block
+                    BlockCholesky(diagonal_blocks(q, part), part)
                 raise
             inverse = inv_lower.transpose(0, 2, 1) @ inv_lower
             total += np.bincount(where.ravel(), inverse.ravel(), minlength=n * n)

@@ -37,7 +37,7 @@ from blockprec import (
     write_libsvm,
 )
 from blockprec.cli import main as cli_main
-from blockprec.partition import BlockCholesky
+from blockprec.partition import BlockCholesky, diagonal_blocks
 from blockprec.seeding import derive_seed
 
 pytestmark = pytest.mark.acceptance
@@ -342,7 +342,7 @@ def test_criterion_8_property_suites(tmp_path):
         gq = rng.standard_normal((n, 2 * n))
         q = gq @ gq.T / (2 * n) + 0.1 * np.eye(n)
         part = sample_uniform_partition(n, k, seed=trial)
-        lam_max = np.linalg.eigvalsh(BlockCholesky(q, part).whiten(q))[-1]
+        lam_max = np.linalg.eigvalsh(BlockCholesky(diagonal_blocks(q, part), part).whiten(q))[-1]
         if lam_max > k + 1e-8:
             failures.append(f"whitened lambda_max {lam_max} > K={k}")
 

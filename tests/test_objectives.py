@@ -6,11 +6,15 @@ import scipy.sparse
 from blockprec import (
     EXACT_HESSIAN,
     SMOOTHNESS_BOUND,
+    BlockCholesky,
     InvalidArgumentError,
     Quadratic,
+    SingularBlockError,
     UnsupportedLossError,
+    diagonal_blocks,
     logistic,
     ridge,
+    sample_uniform_partition,
 )
 
 
@@ -201,6 +205,67 @@ class TestLogistic:
                                          method="BFGS", options={"gtol": 1e-9})
         assert f_star <= oracle.fun + 1e-12 * abs(f_star)
         assert f_star == pytest.approx(oracle.fun, rel=1e-10)
+
+
+class TestBlockCurvature:
+    # n = 9, so K = 2 gives blocks of 5 and 4 and K = 4 blocks of 3, 2, 2, 2
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("model", [EXACT_HESSIAN, SMOOTHNESS_BOUND])
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_blocks_of_full_curvature(self, sparse, loss, model, lam):
+        rng = np.random.default_rng(12)
+        a, y_real, y_pm = random_glm_data(rng)
+        if sparse:
+            a[np.abs(a) < 0.15] = 0.0
+            a = scipy.sparse.csr_matrix(a)
+        obj = ridge(a, y_real, lam=lam) if loss == "squared" else logistic(a, y_pm, lam=lam)
+        for k in (2, 4):
+            part = sample_uniform_partition(obj.n, k, seed=k)
+            x = rng.standard_normal(obj.n)
+            full = obj.curvature(x, model)
+            blocks = obj.block_curvature(x, part, model)
+            assert len(blocks) == k
+            for idx, block in zip(part.blocks(), blocks):
+                want = full[np.ix_(idx, idx)]
+                if obj.curvature_is_constant(model):
+                    np.testing.assert_array_equal(block, want)
+                assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_quadratic_blocks_are_bit_identical(self):
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((7, 14))
+        obj = Quadratic(g @ g.T / 14 + 0.2 * np.eye(7), rng.standard_normal(7))
+        part = sample_uniform_partition(7, 3, seed=2)
+        for model in (EXACT_HESSIAN, SMOOTHNESS_BOUND):
+            blocks = obj.block_curvature(rng.standard_normal(7), part, model)
+            for idx, block in zip(part.blocks(), blocks):
+                np.testing.assert_array_equal(block, obj.h[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("model", [EXACT_HESSIAN, SMOOTHNESS_BOUND])
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_singular_block_named_as_from_full_curvature(self, loss, model):
+        # at lambda = 0 a zero column of A leaves its coordinate no curvature
+        rng = np.random.default_rng(14)
+        a, y_real, y_pm = random_glm_data(rng)
+        a[:, 5] = 0.0
+        obj = ridge(a, y_real) if loss == "squared" else logistic(a, y_pm)
+        part = sample_uniform_partition(obj.n, 3, seed=1)
+        x = rng.standard_normal(obj.n)
+        with pytest.raises(SingularBlockError) as full:
+            BlockCholesky(diagonal_blocks(obj.curvature(x, model), part), part)
+        with pytest.raises(SingularBlockError) as local:
+            BlockCholesky(obj.block_curvature(x, part, model), part)
+        assert local.value.block == full.value.block == part.assignment[5]
+
+    def test_partitioning_must_match_n(self):
+        rng = np.random.default_rng(15)
+        a, y_real, y_pm = random_glm_data(rng)
+        part = sample_uniform_partition(8, 2, seed=0)
+        for obj in (Quadratic(np.eye(9), np.zeros(9)), ridge(a, y_real), logistic(a, y_pm)):
+            for model in (EXACT_HESSIAN, SMOOTHNESS_BOUND):
+                with pytest.raises(InvalidArgumentError):
+                    obj.block_curvature(np.zeros(9), part, model)
 
 
 class TestGradientOracle:

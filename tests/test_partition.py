@@ -14,6 +14,7 @@ from blockprec import (
     SingularBlockError,
     block_mask,
     check_symmetric_matrix,
+    diagonal_blocks,
     enumerate_partitions,
     partition_count,
     sample_uniform_partition,
@@ -30,6 +31,12 @@ class TestSampling:
         part = sample_uniform_partition(4, 2, seed=0)
         assert sorted(part.block_sizes()) == [2, 2]
         assert sorted(np.concatenate(part.blocks())) == [0, 1, 2, 3]
+
+    def test_blocks_are_shared_and_read_only(self):
+        part = sample_uniform_partition(5, 2, seed=3)
+        assert part.blocks() is part.blocks()
+        with pytest.raises(ValueError):
+            part.blocks()[0][0] = 4
 
     def test_forced_sizes_n5_k2(self):
         part = sample_uniform_partition(5, 2, seed=3)
@@ -170,25 +177,26 @@ class TestBlockMask:
         skewed[0, 1] += 1e-9 * np.max(np.abs(q))
         part = Partitioning(np.zeros(6, dtype=int), 1)
         np.testing.assert_array_equal(check_symmetric_matrix(rounded), rounded)
-        BlockCholesky(rounded, part)
+        BlockCholesky(diagonal_blocks(rounded, part), part)
         with pytest.raises(InvalidArgumentError):
             check_symmetric_matrix(skewed)
         with pytest.raises(InvalidArgumentError):
-            BlockCholesky(skewed, part)
+            BlockCholesky(diagonal_blocks(skewed, part), part)
 
     def test_block_cholesky_checks_only_the_blocks_it_reads(self):
         q = np.eye(4)
         q[0, 2] = 0.5  # coordinates 0 and 2 lie in different blocks
         part = Partitioning(np.array([0, 0, 1, 1]), 2)
-        np.testing.assert_array_equal(BlockCholesky(q, part).solve(np.ones(4)), np.ones(4))
+        chol = BlockCholesky(diagonal_blocks(q, part), part)
+        np.testing.assert_array_equal(chol.solve(np.ones(4)), np.ones(4))
         with pytest.raises(InvalidArgumentError):
-            BlockCholesky(q, part).whiten(q)
+            chol.whiten(q)
         q[0, 1] = 0.5
         with pytest.raises(InvalidArgumentError):
-            BlockCholesky(q, part)
+            BlockCholesky(diagonal_blocks(q, part), part)
         q[0, 1] = q[1, 0] = np.nan
         with pytest.raises(InvalidArgumentError):
-            BlockCholesky(q, part)
+            BlockCholesky(diagonal_blocks(q, part), part)
 
 
 class TestBlockSolve:
@@ -196,14 +204,15 @@ class TestBlockSolve:
         q = np.diag([2.0, 4.0, 8.0, 16.0])
         part = sample_uniform_partition(4, 2, seed=0)
         g = np.array([1.0, 1.0, 1.0, 1.0])
-        np.testing.assert_allclose(BlockCholesky(q, part).solve(g), 1.0 / np.diag(q))
+        np.testing.assert_allclose(BlockCholesky(diagonal_blocks(q, part), part).solve(g),
+                                   1.0 / np.diag(q))
 
     def test_single_block_is_full_solve(self):
         rng = np.random.default_rng(8)
         q = random_spd(6, rng)
         g = rng.standard_normal(6)
         part = Partitioning(np.zeros(6, dtype=int), 1)
-        np.testing.assert_allclose(BlockCholesky(q, part).solve(g),
+        np.testing.assert_allclose(BlockCholesky(diagonal_blocks(q, part), part).solve(g),
                                    np.linalg.solve(q, g), rtol=1e-10)
 
     def test_matches_dense_solve_of_masked_matrix(self):
@@ -212,7 +221,7 @@ class TestBlockSolve:
         g = rng.standard_normal(8)
         part = sample_uniform_partition(8, 2, seed=5)
         dense = np.linalg.solve(block_mask(q, part), g)
-        got = BlockCholesky(q, part).solve(g)
+        got = BlockCholesky(diagonal_blocks(q, part), part).solve(g)
         assert np.linalg.norm(got - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_singular_block_names_offender(self):
@@ -225,21 +234,36 @@ class TestBlockSolve:
         ])
         part = Partitioning(np.array([0, 0, 1, 1]), 2)
         with pytest.raises(SingularBlockError) as excinfo:
-            BlockCholesky(q, part).solve(np.ones(4))
+            BlockCholesky(diagonal_blocks(q, part), part).solve(np.ones(4))
         assert excinfo.value.block == 0
 
     def test_jitter_rescues_singular_block(self):
         q = np.array([[1.0, 1.0], [1.0, 1.0]])
         part = Partitioning(np.array([0, 0]), 1)
         with pytest.raises(SingularBlockError):
-            BlockCholesky(q, part).solve(np.ones(2))
-        d = BlockCholesky(q, part, jitter=1e-6).solve(np.ones(2))
+            BlockCholesky(diagonal_blocks(q, part), part).solve(np.ones(2))
+        d = BlockCholesky(diagonal_blocks(q, part), part, jitter=1e-6).solve(np.ones(2))
         np.testing.assert_allclose((q + 1e-6 * np.eye(2)) @ d, np.ones(2), rtol=1e-9)
 
     def test_negative_jitter_rejected(self):
         part = Partitioning(np.array([0, 0]), 1)
         with pytest.raises(InvalidArgumentError):
-            BlockCholesky(np.eye(2), part, jitter=-1.0).solve(np.ones(2))
+            BlockCholesky(diagonal_blocks(np.eye(2), part), part, jitter=-1.0).solve(np.ones(2))
+
+    @pytest.mark.parametrize("jitter", [np.nan, np.inf])
+    def test_non_finite_jitter_rejected(self, jitter):
+        part = sample_uniform_partition(4, 2, 0)
+        with pytest.raises(InvalidArgumentError, match="jitter"):
+            BlockCholesky(diagonal_blocks(np.eye(4), part), part, jitter=jitter)
+
+    def test_blocks_must_match_partitioning(self):
+        part = Partitioning(np.array([0, 1, 1]), 2)
+        with pytest.raises(InvalidArgumentError, match="expected 2 blocks"):
+            BlockCholesky(diagonal_blocks(np.eye(3), part)[:1], part)
+        with pytest.raises(InvalidArgumentError, match="block 1 has shape"):
+            BlockCholesky([np.eye(1), np.eye(3)], part)
+        with pytest.raises(InvalidArgumentError):
+            diagonal_blocks(np.eye(4), part)
 
 
 class TestWhitenBound:
@@ -252,7 +276,7 @@ class TestWhitenBound:
             k = int(rng.integers(1, n + 1))
             q = random_spd(n, rng)
             part = sample_uniform_partition(n, k, seed=trial)
-            w = BlockCholesky(q, part).whiten(q)
+            w = BlockCholesky(diagonal_blocks(q, part), part).whiten(q)
             assert np.linalg.eigvalsh(w)[-1] <= k + 1e-8
 
 

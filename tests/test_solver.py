@@ -93,15 +93,17 @@ class TestArmijo:
         x = rng.standard_normal(5)
         d = -np.linalg.solve(obj.h, obj.gradient(x))
         for c1 in (0.25, 0.49):
-            assert armijo_step_size(obj, x, d, c1=c1, shrink=0.5, max_backtracks=30) == 1.0
+            beta = armijo_step_size(obj, x, obj.value(x), obj.gradient(x), d, c1=c1,
+                                    shrink=0.5, max_backtracks=30)
+            assert beta == 1.0
 
     def test_ascent_direction_rejected(self):
         rng = np.random.default_rng(5)
         obj = random_quadratic(5, rng)
         x = rng.standard_normal(5)
         with pytest.raises(InvalidArgumentError):
-            armijo_step_size(obj, x, +obj.gradient(x), c1=0.3, shrink=0.5,
-                             max_backtracks=30)
+            armijo_step_size(obj, x, obj.value(x), obj.gradient(x), +obj.gradient(x), c1=0.3,
+                             shrink=0.5, max_backtracks=30)
 
     def test_returned_beta_is_maximal(self):
         # strongly correlated data with K = 4 blocks makes the masked
@@ -112,9 +114,10 @@ class TestArmijo:
         part = sample_uniform_partition(12, 4, seed=7)
         x = rng.standard_normal(12)
         g = obj.gradient(x)
-        d = -BlockCholesky(obj.curvature(x), part).solve(g)
+        d = -BlockCholesky(obj.block_curvature(x, part), part).solve(g)
         c1, shrink = 0.3, 0.5
-        beta = armijo_step_size(obj, x, d, c1=c1, shrink=shrink, max_backtracks=60)
+        beta = armijo_step_size(obj, x, obj.value(x), g, d, c1=c1, shrink=shrink,
+                                max_backtracks=60)
         slope = g @ d
         assert obj.value(x + beta * d) <= obj.value(x) + c1 * beta * slope
         assert beta < 1.0
@@ -127,9 +130,10 @@ class TestArmijo:
         obj = ridge(a, rng.standard_normal(12), lam=0.0)
         part = sample_uniform_partition(12, 4, seed=7)
         x = rng.standard_normal(12)
-        d = -BlockCholesky(obj.curvature(x), part).solve(obj.gradient(x))
+        d = -BlockCholesky(obj.block_curvature(x, part), part).solve(obj.gradient(x))
         with pytest.raises(LineSearchError):
-            armijo_step_size(obj, x, d, c1=0.3, shrink=0.5, max_backtracks=1)
+            armijo_step_size(obj, x, obj.value(x), obj.gradient(x), d, c1=0.3, shrink=0.5,
+                             max_backtracks=1)
 
 
 class TestRun:
@@ -217,6 +221,41 @@ class TestRun:
         par = run_repeats(obj, cfg, 6, threads=4)
         for a, b in zip(seq, par):
             np.testing.assert_array_equal(a.subopts, b.subopts)
+        # exact-Hessian logistic: per-iterate block curvature on shared A
+        from blockprec import logistic
+        a = rng.standard_normal((50, 12))
+        obj = logistic(a, np.where(rng.standard_normal(50) >= 0, 1.0, -1.0), lam=0.5)
+        cfg = SolverConfig(k_blocks=3, scheme="dynamic", seed=2, n_iters=8,
+                           model=EXACT_HESSIAN, step=ArmijoStep())
+        seq = run_repeats(obj, cfg, 4, threads=1)
+        par = run_repeats(obj, cfg, 4, threads=2)
+        for a, b in zip(seq, par):
+            for got, want in ((a.fvals, b.fvals), (a.subopts, b.subopts),
+                              (a.gradnorms, b.gradnorms), (a.x_final, b.x_final)):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("step", [FixedStep(), ArmijoStep()])
+    @pytest.mark.parametrize("scheme", ["static", "dynamic"])
+    def test_each_iterate_evaluated_once_without_full_curvature(self, monkeypatch, scheme,
+                                                                step):
+        from blockprec import Glm, logistic
+        rng = np.random.default_rng(22)
+        a = rng.standard_normal((40, 12))
+        obj = logistic(a, np.where(rng.standard_normal(40) >= 0, 1.0, -1.0), lam=1.0)
+        obj.optimum()  # the Newton reference forms full Hessians; run() forms none
+        calls = {"curvature": 0, "gradient": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Glm, "curvature", counted("curvature", Glm.curvature))
+        monkeypatch.setattr(Glm, "gradient", counted("gradient", Glm.gradient))
+        run(obj, SolverConfig(k_blocks=3, scheme=scheme, seed=4, n_iters=7,
+                              model=EXACT_HESSIAN, step=step))
+        assert calls == {"curvature": 0, "gradient": 8}
 
     def test_run_repeats_fills_lazy_caches_once(self, monkeypatch):
         # Slow counting wrappers widen the window in which concurrent

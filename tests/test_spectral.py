@@ -17,6 +17,7 @@ from blockprec import (
     block_mask,
     build_report,
     derive_seed,
+    diagonal_blocks,
     enumerate_partitions,
     expected_lambda_exact,
     expected_lambda_mc,
@@ -70,7 +71,8 @@ class TestLambdaMinPrecond:
             k = int(rng.integers(1, n + 1))
             q = random_spd(n, rng)
             part = sample_uniform_partition(n, k, seed=trial)
-            spectrum = np.linalg.eigvalsh(BlockCholesky(q, part).whiten(q))
+            chol = BlockCholesky(diagonal_blocks(q, part), part)
+            spectrum = np.linalg.eigvalsh(chol.whiten(q))
             assert spectrum[0] > 0.0
             assert spectrum[-1] <= k + 1e-8
             if spectrum[0] > 1.0 + 1e-10:
@@ -443,7 +445,7 @@ class TestMeanInverseKernel:
         q[2, 3] = q[3, 2] = 2.0  # the block {2, 3} is indefinite
         first = enumerate_partitions(4, 2)[0]
         with pytest.raises(SingularBlockError) as direct:
-            BlockCholesky(q, first)
+            BlockCholesky(diagonal_blocks(q, first), first)
         with pytest.raises(SingularBlockError) as exact:
             expected_inverse_exact(q, 2)
         with pytest.raises(SingularBlockError) as static:
