@@ -145,7 +145,7 @@ def _parse(parser, argv):
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise LibsvmParseError(f"bad JSON config {args.config}: {exc}") from None
         if not isinstance(loaded, dict):
             raise InvalidArgumentError(f"config {args.config} must hold a JSON object")
@@ -226,6 +226,9 @@ def _read_input(args, logistic_labels):
 
 def cmd_spectral(args, argv):
     _require(args, "k", "out", "seed")
+    if not 0.0 <= args.lambda_reg < np.inf:
+        raise InvalidArgumentError(
+            f"--lambda-reg must be non-negative and finite, got {args.lambda_reg}")
     q, meta, ds = _read_input(args, False)
     if ds is not None:
         q = objectives.gram_matrix(ds.a) + args.lambda_reg * np.eye(ds.n_features)
@@ -235,7 +238,14 @@ def cmd_spectral(args, argv):
         if not meta or meta.get("kind") != "uniform":
             raise InvalidArgumentError(
                 "--closed-form needs a matrix generated with 'gen --kind uniform'")
-        closed = spectral.uniform_closed_form(q.shape[0], args.k, float(meta["alpha"]))
+        alpha = meta.get("alpha")
+        if type(alpha) not in (int, float):
+            raise InvalidArgumentError(
+                f"--closed-form needs a numeric sidecar alpha, got {alpha!r}")
+        if np.max(np.abs(q - data.gen_uniform_q(q.shape[0], alpha))) > 1e-12:
+            raise InvalidArgumentError(
+                f"--closed-form: the matrix is not uniform with its sidecar's alpha = {alpha!r}")
+        closed = spectral.uniform_closed_form(q.shape[0], args.k, float(alpha))
     report = spectral.build_report(q, args.k, n_samples=args.samples, seed=args.seed,
                                    exact=args.exact, closed_form=closed,
                                    threads=args.threads)
@@ -262,8 +272,8 @@ def _build_objective(args):
             return objectives.logistic(a, y, args.reg)
         return objectives.ridge(a, y, args.reg)
     if args.objective == "logistic":
-        return objectives.logistic(ds.a, ds.y, args.reg, name=ds.name)
-    return objectives.ridge(ds.a, ds.y, args.reg, name=ds.name)
+        return objectives.logistic(ds.a, ds.y, args.reg)
+    return objectives.ridge(ds.a, ds.y, args.reg)
 
 
 def _write_scheme_outputs(out, scheme, config, traces, invocation):

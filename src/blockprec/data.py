@@ -102,7 +102,6 @@ class Dataset:
     a: "scipy.sparse.spmatrix | np.ndarray"
     y: np.ndarray
     name: str = ""
-    provenance: str = ""
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -184,7 +183,7 @@ def read_libsvm(path, n_features=None, logistic_labels=False, name=None):
     y = np.asarray(labels, dtype=float)
     if logistic_labels:
         y = _remap_binary_labels(y)
-    return Dataset(a, y, name=name or str(path), provenance=f"libsvm:{path}")
+    return Dataset(a, y, name=name or str(path))
 
 
 def write_libsvm(path, dataset: Dataset):
@@ -216,8 +215,7 @@ def normalize_columns(dataset: Dataset) -> Dataset:
         a = np.array(a, dtype=float, copy=True)
         norms = np.linalg.norm(a, axis=0)
         a /= np.where(norms > 0.0, norms, 1.0)
-    return Dataset(a, dataset.y, name=dataset.name,
-                   provenance=dataset.provenance + "+l2norm")
+    return Dataset(a, dataset.y, name=dataset.name)
 
 
 def gen_labels(a, kind: str, seed: int, x_true=None, noise: float = 0.0, sign: bool = False):
@@ -257,7 +255,7 @@ def save_q(path, q, metadata=None):
 
 
 def load_q(path):
-    """Read a BPQ1 binary matrix; returns (Q, metadata dict or None)."""
+    """Read a BPQ1 binary matrix; returns (Q, its JSON-object sidecar or None)."""
     with open(path, "rb") as fh:
         header = fh.read(_Q_HEADER.size)
         if len(header) != _Q_HEADER.size:
@@ -268,11 +266,15 @@ def load_q(path):
         payload = fh.read(8 * n * n)
     if len(payload) != 8 * n * n:
         raise LibsvmParseError(f"{path}: truncated payload for n={n}")
-    q = np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(float)
-    metadata = None
+    q = check_symmetric_matrix(np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(float))
+    sidecar = str(path) + ".json"
     try:
-        with open(str(path) + ".json", "r", encoding="ascii") as fh:
+        with open(sidecar, "r", encoding="ascii") as fh:
             metadata = json.load(fh)
     except FileNotFoundError:
-        pass
-    return check_symmetric_matrix(q), metadata
+        return q, None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise LibsvmParseError(f"{sidecar}: bad JSON: {exc}") from None
+    if not isinstance(metadata, dict):
+        raise LibsvmParseError(f"{sidecar}: expected a JSON object")
+    return q, metadata

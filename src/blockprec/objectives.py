@@ -122,7 +122,7 @@ class Glm:
     column slice A[:, P_k] at a time.
     """
 
-    def __init__(self, a, y, loss: str, lam: float = 0.0, name: str = ""):
+    def __init__(self, a, y, loss: str, lam: float = 0.0):
         if loss not in (SQUARED, LOGISTIC):
             raise InvalidArgumentError(f"unknown loss {loss!r}")
         if not 0.0 <= lam < np.inf:
@@ -136,7 +136,6 @@ class Glm:
             raise InvalidArgumentError("logistic labels must lie in {-1, +1}")
         self.loss = loss
         self.lam = float(lam)
-        self.name = name
         self.gamma_loss = LOSS_GAMMA[loss]
         self.mu_loss = LOSS_MU[loss]
         self._gram = None
@@ -298,11 +297,11 @@ class Glm:
         return self.value(x) - f_star
 
 
-def ridge(a, y, lam=0.0, name=""):
+def ridge(a, y, lam=0.0):
     """Ridge regression objective 1/2 ||Ax - y||^2 + lambda/2 ||x||^2."""
-    return Glm(a, y, SQUARED, lam, name=name)
+    return Glm(a, y, SQUARED, lam)
 
 
-def logistic(a, y, lam=0.0, name=""):
+def logistic(a, y, lam=0.0):
     """L2-regularized logistic regression with labels in {-1, +1}."""
-    return Glm(a, y, LOGISTIC, lam, name=name)
+    return Glm(a, y, LOGISTIC, lam)

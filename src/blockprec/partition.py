@@ -129,12 +129,9 @@ def sample_uniform_partition(n: int, k: int, seed: int) -> Partitioning:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     base, extra = divmod(n, k)
+    sizes = [base + 1] * extra + [base] * (k - extra)
     assignment = np.empty(n, dtype=np.intp)
-    start = 0
-    for block in range(k):
-        size = base + (1 if block < extra else 0)
-        assignment[perm[start:start + size]] = block
-        start += size
+    assignment[perm] = np.repeat(np.arange(k), sizes)
     return Partitioning(assignment, k)
 
 

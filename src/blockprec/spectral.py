@@ -17,6 +17,7 @@ the spectrum exactly and keep the eigensolver on symmetric matrices.
 """
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,6 @@ from .partition import (
     sample_uniform_partition,
 )
 from .seeding import derive_seed, map_ordered
-from .solver import STATIC, SCHEMES
 
 N_BATCHES = 10
 
@@ -45,9 +45,9 @@ def _min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
 
 
-def lambda_min_precond(q, part: Partitioning, jitter: float = 0.0) -> float:
+def lambda_min_precond(q, part: Partitioning) -> float:
     """Smallest eigenvalue of Q_P^{-1} Q."""
-    return _min_eigenvalue(BlockCholesky(diagonal_blocks(q, part), part, jitter=jitter).whiten(q))
+    return _min_eigenvalue(BlockCholesky(diagonal_blocks(q, part), part).whiten(q))
 
 
 def lambda_min_of_expected(expected_inverse, q) -> float:
@@ -222,46 +222,36 @@ def separable_toy(alpha: float) -> SeparableToy:
     return SeparableToy(alpha, 1.0, 1.0 - alpha, 1.0 / 3.0 + (2.0 / 3.0) * (1.0 - alpha))
 
 
-def _expected_inverse(q, k_blocks, scheme, partitioning, mc_samples, seed, exact, cap):
-    """E[Q_P^{-1}] of a validated Q: the static/exact/MC dispatch all rates share."""
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    n = q.shape[0]
-    if scheme == STATIC:
-        if partitioning is None:
-            raise InvalidArgumentError("the static scheme needs an explicit partitioning")
-        if (partitioning.n, partitioning.k_blocks) != (n, k_blocks):
-            raise InvalidArgumentError(f"the partitioning has {partitioning.k_blocks} blocks over "
-                                       f"{partitioning.n} coordinates, not {k_blocks} over {n}")
-        parts = [partitioning]
-    elif exact:
-        parts = enumerate_partitions(n, k_blocks, cap=cap)
-    else:
-        parts = _sampled_partitions(n, k_blocks, mc_samples, seed)
-    return _mean_inverse(q, parts)
+def _check_parts(parts, n) -> int:
+    """The K of ``parts``: a non-empty sequence of Partitionings over n coordinates, one K."""
+    if not (isinstance(parts, Sequence) and parts
+            and all(isinstance(p, Partitioning) for p in parts)):
+        raise InvalidArgumentError("parts must be a non-empty sequence of Partitionings")
+    k = parts[0].k_blocks
+    for i, p in enumerate(parts):
+        if (p.n, p.k_blocks) != (n, k):
+            raise InvalidArgumentError(f"partitioning {i} has {p.k_blocks} blocks over {p.n} "
+                                       f"coordinates, not {k} over {n}")
+    return k
 
 
-def rate_quadratic(q, k_blocks: int, scheme: str, partitioning: Partitioning | None = None,
-                   mc_samples: int = 1000, seed: int = 0, exact: bool = False,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> float:
-    """Linear rate constant rho = lambda_min / K for exact quadratic curvature.
+def rate_quadratic(q, parts) -> float:
+    """Linear rate constant rho = lambda_min(E[Q_P^{-1}] Q) / K for exact quadratic curvature.
 
-    Static uses lambda_min(Q_P^{-1} Q) for the given partitioning; dynamic
-    uses lambda_min(E[Q_P^{-1}] Q) with the expectation taken by full
-    enumeration (``exact``) or Monte Carlo.
+    The expectation is the mean over ``parts``, which share one K: ``[part]``
+    gives the static rate of one partitioning, ``enumerate_partitions(n, k)``
+    the exact repartitioning rate, and Monte Carlo draws an estimate of it.
     """
     q = check_symmetric_matrix(q)
-    expected = _expected_inverse(q, k_blocks, scheme, partitioning,
-                                 mc_samples, seed, exact, cap)
-    return lambda_min_of_expected(expected, q) / k_blocks
+    k = _check_parts(parts, q.shape[0])
+    return lambda_min_of_expected(_mean_inverse(q, parts), q) / k
 
 
-def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme: str,
-             mc_samples: int = 1000, seed: int = 0, partitioning: Partitioning | None = None,
-             exact: bool = False, lambda_shift: float = 0.0,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
+             lambda_shift: float = 0.0) -> float:
     """Rate constant mu/(K gamma) * lambda_min(A E[M_P^{-1}] A^T) for GLMs.
 
+    The expectation is the mean over ``parts``, as in ``rate_quadratic``.
     M = A^T A (plus ``lambda_shift`` I when its blocks would be singular)
     supplies the masked inverses. For wide products (more rows than
     columns) the zero part of the spectrum of A E A^T is structural, so
@@ -271,16 +261,19 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme:
     if mu_loss is None:
         raise UnsupportedLossError(
             "no curvature-floor constant is known for this loss; rate unavailable")
-    if lambda_shift < 0.0:
-        raise InvalidArgumentError("lambda_shift must be non-negative")
+    if not (0.0 < gamma_loss < np.inf and 0.0 <= mu_loss < np.inf
+            and 0.0 <= lambda_shift < np.inf):
+        raise InvalidArgumentError(
+            "need 0 < gamma_loss < inf and 0 <= mu_loss, lambda_shift < inf, got "
+            f"gamma_loss={gamma_loss}, mu_loss={mu_loss}, lambda_shift={lambda_shift}")
     if not scipy.sparse.issparse(a):
         a = np.asarray(a, dtype=float)
     m_rows, n = a.shape
+    k = _check_parts(parts, n)
     gram = gram_matrix(a)
-    shifted = gram + lambda_shift * np.eye(n) if lambda_shift else gram
+    shifted = check_symmetric_matrix(gram + lambda_shift * np.eye(n) if lambda_shift else gram)
     try:
-        expected = _expected_inverse(shifted, k_blocks, scheme, partitioning,
-                                     mc_samples, seed, exact, cap)
+        expected = _mean_inverse(shifted, parts)
     except SingularBlockError as exc:
         raise SingularBlockError(
             exc.block, f"{exc}; pass lambda_shift > 0 to regularize the masked blocks"
@@ -289,7 +282,7 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, k_blocks: int, scheme:
         lam = _min_eigenvalue(np.asarray(a @ (a @ expected).T))
     else:
         lam = lambda_min_of_expected(expected, gram)
-    return mu_loss / (k_blocks * gamma_loss) * lam
+    return mu_loss / (k * gamma_loss) * lam
 
 
 @dataclass(frozen=True)
@@ -312,9 +305,9 @@ class GeneralModelParams:
         if not 0.0 <= self.alpha_decrease < 1.0:
             raise InvalidArgumentError(
                 f"alpha_decrease must lie in [0, 1), got {self.alpha_decrease}")
-        if self.l_lipschitz <= 0.0:
+        if not 0.0 < self.l_lipschitz < np.inf:
             raise InvalidArgumentError(
-                f"l_lipschitz must be positive, got {self.l_lipschitz}")
+                f"l_lipschitz must be positive and finite, got {self.l_lipschitz}")
 
 
 @dataclass(frozen=True)
@@ -325,20 +318,17 @@ class GeneralRate:
     contraction: float
 
 
-def rate_general(q, k_blocks: int, params: GeneralModelParams, scheme: str,
-                 mc_samples: int = 1000, seed: int = 0,
-                 partitioning: Partitioning | None = None, exact: bool = False,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> GeneralRate:
+def rate_general(q, parts, params: GeneralModelParams) -> GeneralRate:
     """Decrease constant rho = xi/(2K) lambda_min(Q^T E[Q_P^{-1}] Q).
 
+    The expectation is the mean over ``parts``, as in ``rate_quadratic``.
     Also reports the induced contraction factor 1 - rho (1 - alpha)/L.
     Reporting only; nothing here is enforced on solver runs.
     """
     q = check_symmetric_matrix(q)
-    expected = _expected_inverse(q, k_blocks, scheme, partitioning,
-                                 mc_samples, seed, exact, cap)
-    lam = _min_eigenvalue(q.T @ expected @ q)
-    rho = params.xi / (2.0 * k_blocks) * lam
+    k = _check_parts(parts, q.shape[0])
+    lam = _min_eigenvalue(q.T @ _mean_inverse(q, parts) @ q)
+    rho = params.xi / (2.0 * k) * lam
     return GeneralRate(rho, 1.0 - rho * (1.0 - params.alpha_decrease) / params.l_lipschitz)
 
 

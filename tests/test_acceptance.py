@@ -292,7 +292,7 @@ def test_criterion_7_logistic_ordering_real_data():
         pytest.skip(f"criterion 7 needs mushroom: {NO_DATASET_MSG}")
     start = time.perf_counter()
     ds = read_libsvm(mushroom, logistic_labels=True, name="mushroom")
-    obj = logistic(ds.a, ds.y, lam=1.0, name="mushroom")
+    obj = logistic(ds.a, ds.y, lam=1.0)
     finals = {}
     for scheme in ("static", "dynamic"):
         config = SolverConfig(k_blocks=8, scheme=scheme, seed=17, n_iters=100,

@@ -12,6 +12,10 @@ from blockprec import gen_separable_q, gen_uniform_q, load_q, save_q
 from blockprec.cli import main
 
 
+# Valid JSON nested too deeply for the json module's recursive decoder.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
 
@@ -343,11 +347,13 @@ class TestExitContract:
     """Bad environment, config and seed values exit 2 with one line on stderr."""
 
     @staticmethod
-    def assert_one_line_exit_2(code, capsys):
+    def assert_one_line_exit(code, capsys, want=2):
         err = capsys.readouterr().err
-        assert code == 2
+        assert code == want
         assert "Traceback" not in err
-        assert err.count("\n") == 1 and err.startswith("blockprec: invalid arguments: ")
+        kind = {2: "invalid arguments", 4: "parse error"}[want]
+        assert err.count("\n") == 1 and err.startswith(f"blockprec: {kind}: ")
+        return err
 
     def spectral_args(self, tmp_path):
         qfile = tmp_path / "u"
@@ -360,34 +366,42 @@ class TestExitContract:
         args = self.spectral_args(tmp_path)
         capsys.readouterr()
         monkeypatch.setenv("BLOCKPREC_THREADS", "abc")
-        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", 0), capsys)
+        self.assert_one_line_exit(run_cli(*args, "--k", 2, "--seed", 0), capsys)
 
     def test_config_value_of_wrong_type(self, tmp_path, capsys):
         args = self.spectral_args(tmp_path)
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"k": "two"}))
-        self.assert_one_line_exit_2(run_cli(*args, "--seed", 0, "--config", cfg), capsys)
+        self.assert_one_line_exit(run_cli(*args, "--seed", 0, "--config", cfg), capsys)
 
     @pytest.mark.parametrize("flag", ["--k=--", "--config=--", "--samples=--"])
     def test_flag_given_double_dash(self, tmp_path, capsys, flag):
         # argparse parses "--flag=--" to an empty list instead of failing
         args = self.spectral_args(tmp_path)
         capsys.readouterr()
-        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", 0, flag), capsys)
+        self.assert_one_line_exit(run_cli(*args, "--k", 2, "--seed", 0, flag), capsys)
+
+    def test_deeply_nested_config_exit_4(self, tmp_path, capsys):
+        args = self.spectral_args(tmp_path)
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(DEEP_JSON)
+        code = run_cli(*args, "--k", 2, "--seed", 0, "--config", cfg)
+        self.assert_one_line_exit(code, capsys, want=4)
 
     def test_config_value_double_dash(self, tmp_path, capsys):
         args = self.spectral_args(tmp_path)
         capsys.readouterr()
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": "--"}))
-        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--config", cfg), capsys)
+        self.assert_one_line_exit(run_cli(*args, "--k", 2, "--config", cfg), capsys)
 
     @pytest.mark.parametrize("seed", [2**128, 2**64, -1])
     def test_seed_outside_64_bits(self, tmp_path, capsys, seed):
         args = self.spectral_args(tmp_path)
         capsys.readouterr()
-        self.assert_one_line_exit_2(run_cli(*args, "--k", 2, "--seed", seed), capsys)
+        self.assert_one_line_exit(run_cli(*args, "--k", 2, "--seed", seed), capsys)
 
     @pytest.mark.parametrize("flags", [("--eta", "nan"), ("--eta", "inf"), ("--jitter", "nan"),
                                        ("--objective", "logistic", "--reg", "inf")])
@@ -398,8 +412,47 @@ class TestExitContract:
         capsys.readouterr()
         code = run_cli("solve", "--objective", "quadratic", "--q", str(qfile) + ".q", "--k", 2,
                        "--t", 5, "--seed", 0, "--out", tmp_path / "run", *flags)
-        self.assert_one_line_exit_2(code, capsys)
+        self.assert_one_line_exit(code, capsys)
         assert not list(tmp_path.glob("run*"))
+
+    @staticmethod
+    def uniform_q(tmp_path, sidecar):
+        """An alpha = 0.3 uniform matrix file whose JSON sidecar holds the text ``sidecar``."""
+        save_q(tmp_path / "u.q", gen_uniform_q(8, 0.3))
+        (tmp_path / "u.q.json").write_text(sidecar)
+        return tmp_path / "u.q"
+
+    @pytest.mark.parametrize("sidecar", ["{bad json", "[1, 2]", "null", DEEP_JSON],
+                             ids=["bad-json", "list", "null", "deep"])
+    @pytest.mark.parametrize("command", ["spectral", "solve"])
+    def test_sidecar_not_a_json_object_exit_4(self, tmp_path, capsys, sidecar, command):
+        qfile = self.uniform_q(tmp_path, sidecar)
+        flags = ["--closed-form"] if command == "spectral" else ["--objective", "quadratic"]
+        code = run_cli(command, "--q", qfile, "--k", 2, "--seed", 0, "--out", tmp_path / "rep",
+                       *flags)
+        self.assert_one_line_exit(code, capsys, want=4)
+        assert not list(tmp_path.glob("rep*"))
+
+    @pytest.mark.parametrize("sidecar", [
+        {"kind": "uniform"}, {"kind": "uniform", "alpha": None},
+        {"kind": "uniform", "alpha": "abc"}, {"kind": "uniform", "alpha": "0.3"},
+        {"kind": "uniform", "alpha": 0.9},  # the matrix has alpha = 0.3
+    ])
+    def test_closed_form_sidecar_checked(self, tmp_path, capsys, sidecar):
+        qfile = self.uniform_q(tmp_path, json.dumps(sidecar))
+        code = run_cli("spectral", "--q", qfile, "--k", 2, "--samples", 5, "--closed-form",
+                       "--seed", 0, "--out", tmp_path / "rep")
+        assert "--closed-form" in self.assert_one_line_exit(code, capsys)
+        assert not list(tmp_path.glob("rep*"))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+    def test_lambda_reg_checked_when_parsed(self, tmp_path, capsys, value):
+        ds = tmp_path / "toy.libsvm"
+        ds.write_text("1 1:1.0 2:0.5\n-1 1:0.5 2:1.0\n1 3:1.0\n")
+        code = run_cli("spectral", "--dataset", ds, "--k", 3, "--samples", 4,
+                       f"--lambda-reg={value}", "--seed", 0, "--out", tmp_path / "rep")
+        assert "--lambda-reg" in self.assert_one_line_exit(code, capsys)
 
     @pytest.mark.parametrize("flag", ["-h", "--help"])
     def test_help_returns_0(self, capsys, flag):
@@ -454,7 +507,8 @@ _COMMON = {"seed": (st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, 2**12
            "threads": (st.sampled_from([1, 2]), st.sampled_from([0, -1, "two"]), False),
            "out": (st.sampled_from(["out", "sub/out"]), st.just("missing/../out"), True)}
 _SOURCES = {"q": (st.sampled_from(["u.q", "s.q"]),
-                  st.sampled_from(["a.libsvm", "junk.bin", "missing.q"])),
+                  st.sampled_from(["a.libsvm", "junk.bin", "missing.q", "badjson.q", "list.q",
+                                   "deep.q", "noalpha.q", "stralpha.q"])),
             "dataset": (st.just("a.libsvm"), st.sampled_from(["u.q", "junk.bin", "missing.q"]))}
 _JUNK = st.one_of(st.none(), st.booleans(), st.text("abc-_", max_size=4),
                   st.lists(st.integers(0, 3), max_size=2),
@@ -469,6 +523,13 @@ def fuzz_dir(tmp_path_factory):
     (d / "a.libsvm").write_text("1 1:0.5 2:1.0\n0 2:0.25 3:2.0\n1 1:1.5 3:0.5 4:1.0\n"
                                 "0 1:0.5 4:0.75\n1 2:1.25 4:0.5\n0 1:1.0 3:1.0\n")
     (d / "junk.bin").write_bytes(bytes(range(256)))
+    # Malformed sidecars next to a well-formed matrix.
+    save_q(d / "noalpha.q", gen_uniform_q(6, 0.3), {"kind": "uniform"})
+    save_q(d / "stralpha.q", gen_uniform_q(6, 0.3), {"kind": "uniform", "alpha": "abc"})
+    for name, sidecar in (("badjson.q", "{bad json"), ("list.q", "[1, 2]"),
+                          ("deep.q", DEEP_JSON)):
+        save_q(d / name, gen_uniform_q(6, 0.3))
+        (d / f"{name}.json").write_text(sidecar)
     return d
 
 

@@ -49,6 +49,27 @@ class TestSampling:
         c = sample_uniform_partition(200, 5, seed=8)
         assert a != c
 
+    def test_matches_the_per_block_loop(self):
+        # the assignment before it was vectorized: a permutation cut into K
+        # consecutive chunks, the first n mod K of them one longer
+        def loop_assignment(n, k, seed):
+            perm = np.random.default_rng(seed).permutation(n)
+            base, extra = divmod(n, k)
+            assignment = np.empty(n, dtype=np.intp)
+            start = 0
+            for block in range(k):
+                size = base + (1 if block < extra else 0)
+                assignment[perm[start:start + size]] = block
+                start += size
+            return assignment
+
+        for n in range(1, 14):
+            for k in range(1, n + 1):
+                for seed in (0, 1, 7, 2**63, 2**64 - 1):
+                    got = sample_uniform_partition(n, k, seed).assignment
+                    assert got.dtype == np.intp
+                    np.testing.assert_array_equal(got, loop_assignment(n, k, seed))
+
     @pytest.mark.parametrize("n,k", [(3, 4), (5, 0), (0, 1)])
     def test_invalid_arguments(self, n, k):
         with pytest.raises(InvalidArgumentError):

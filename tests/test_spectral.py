@@ -219,24 +219,19 @@ class TestRates:
         rng = np.random.default_rng(4)
         q = random_spd(5, rng)
         part = Partitioning(np.zeros(5, dtype=int), 1)
-        assert rate_quadratic(q, 1, "static", partitioning=part) == pytest.approx(
-            1.0, abs=1e-10)
-        assert rate_quadratic(q, 1, "dynamic", exact=True) == pytest.approx(1.0, abs=1e-10)
+        assert rate_quadratic(q, [part]) == pytest.approx(1.0, abs=1e-10)
+        assert rate_quadratic(q, enumerate_partitions(5, 1)) == pytest.approx(1.0, abs=1e-10)
 
     def test_quadratic_dynamic_not_below_worst_static(self):
         rng = np.random.default_rng(5)
         q = random_spd(6, rng)
         parts = enumerate_partitions(6, 3)
-        rhos = [rate_quadratic(q, 3, "static", partitioning=p) for p in parts]
-        rho_dyn = rate_quadratic(q, 3, "dynamic", exact=True)
+        rhos = [rate_quadratic(q, [p]) for p in parts]
+        rho_dyn = rate_quadratic(q, parts)
         assert rho_dyn >= min(rhos) - 1e-10
 
-    def test_static_requires_partitioning(self):
-        with pytest.raises(InvalidArgumentError):
-            rate_quadratic(np.eye(4), 2, "static")
-
     def test_glm_identity(self):
-        assert rate_glm(np.eye(5), 1.0, 1.0, 1, "dynamic", exact=True) == pytest.approx(
+        assert rate_glm(np.eye(5), 1.0, 1.0, enumerate_partitions(5, 1)) == pytest.approx(
             1.0, abs=1e-10)
 
     def test_glm_square_symmetric_equals_gram_formula(self):
@@ -245,7 +240,7 @@ class TestRates:
         rng = np.random.default_rng(6)
         a = random_spd(6, rng)
         gram = a.T @ a
-        rho = rate_glm(a, 2.0, 0.5, 2, "dynamic", exact=True)
+        rho = rate_glm(a, 2.0, 0.5, enumerate_partitions(6, 2))
         expected_inv = expected_inverse_exact(gram, 2)
         lam = lambda_min_of_expected(expected_inv, gram)
         assert rho == pytest.approx(0.5 / (2 * 2.0) * lam, rel=1e-8)
@@ -255,24 +250,24 @@ class TestRates:
         # structural and skipped
         rng = np.random.default_rng(7)
         a = rng.standard_normal((40, 6)) / 6.0
-        rho = rate_glm(a, 1.0, 1.0, 2, "dynamic", exact=True)
+        rho = rate_glm(a, 1.0, 1.0, enumerate_partitions(6, 2))
         assert rho > 0.0
 
     def test_glm_unknown_mu_rejected(self):
         with pytest.raises(UnsupportedLossError):
-            rate_glm(np.eye(4), 0.25, None, 2, "dynamic")
+            rate_glm(np.eye(4), 0.25, None, enumerate_partitions(4, 2))
 
     def test_glm_singular_blocks_suggest_shift(self):
         # m < n makes A^T A rank deficient, so masked blocks are singular
         rng = np.random.default_rng(8)
         a = rng.standard_normal((3, 8))
+        parts = [sample_uniform_partition(8, 2, derive_seed(0, i)) for i in range(5)]
         with pytest.raises(SingularBlockError) as excinfo:
-            rate_glm(a, 1.0, 1.0, 2, "dynamic", mc_samples=5, seed=0)
+            rate_glm(a, 1.0, 1.0, parts)
         assert "lambda_shift" in str(excinfo.value)
-        rho = rate_glm(a, 1.0, 1.0, 2, "dynamic", mc_samples=5, seed=0, lambda_shift=1.0)
+        rho = rate_glm(a, 1.0, 1.0, parts, lambda_shift=1.0)
         assert np.isfinite(rho) and rho > 0.0
-        sparse_rho = rate_glm(scipy.sparse.csr_matrix(a), 1.0, 1.0, 2, "dynamic",
-                              mc_samples=5, seed=0, lambda_shift=1.0)
+        sparse_rho = rate_glm(scipy.sparse.csr_matrix(a), 1.0, 1.0, parts, lambda_shift=1.0)
         assert sparse_rho == pytest.approx(rho, rel=1e-12)
 
     def test_glm_real_dataset_baseline(self):
@@ -288,15 +283,53 @@ class TestRates:
             pytest.skip("mushroom dataset not available locally")
         from blockprec import read_libsvm
         ds = read_libsvm(path)
-        rho = rate_glm(ds.a, 1.0, 1.0, 5, "dynamic", mc_samples=200, seed=12,
-                       lambda_shift=1.0)
+        parts = [sample_uniform_partition(ds.n_features, 5, derive_seed(12, i))
+                 for i in range(200)]
+        rho = rate_glm(ds.a, 1.0, 1.0, parts, lambda_shift=1.0)
         print(f"mushroom rate baseline (K=5, shift=1): {rho!r}")
         assert np.isfinite(rho) and rho > 0.0
+
+    @pytest.mark.parametrize("parts", [
+        [], (), None, 3, sample_uniform_partition(4, 2, 0),
+        [sample_uniform_partition(4, 2, 0), np.zeros(4, dtype=int)],
+        [sample_uniform_partition(5, 2, 0)],
+        [sample_uniform_partition(4, 2, 0), sample_uniform_partition(4, 4, 0)],
+    ])
+    def test_parts_checked_at_the_boundary(self, parts):
+        # a non-empty sequence of Partitionings over the matrix's n with one K
+        with pytest.raises(InvalidArgumentError, match="parts must be|partitioning [01] has"):
+            rate_quadratic(np.eye(4), parts)
+        with pytest.raises(InvalidArgumentError, match="parts must be|partitioning [01] has"):
+            rate_glm(np.eye(4), 1.0, 1.0, parts)
+        with pytest.raises(InvalidArgumentError, match="parts must be|partitioning [01] has"):
+            rate_general(np.eye(4), parts, GeneralModelParams())
+
+    @pytest.mark.parametrize("constants", [
+        {"gamma_loss": 0.0}, {"gamma_loss": -1.0}, {"gamma_loss": np.nan},
+        {"gamma_loss": np.inf}, {"mu_loss": -0.5}, {"mu_loss": np.nan}, {"mu_loss": np.inf},
+        {"lambda_shift": -1.0}, {"lambda_shift": np.nan}, {"lambda_shift": np.inf},
+    ])
+    def test_glm_constants_checked(self, constants):
+        args = {"gamma_loss": 1.0, "mu_loss": 1.0, "lambda_shift": 0.0, **constants}
+        with pytest.raises(InvalidArgumentError, match=next(iter(constants))):
+            rate_glm(np.eye(4), parts=enumerate_partitions(4, 2), **args)
+
+    def test_glm_non_finite_data_rejected(self):
+        a = np.eye(4)
+        a[0, 1] = np.nan
+        for data in (a, scipy.sparse.csr_matrix(a)):
+            with pytest.raises(InvalidArgumentError, match="non-finite"):
+                rate_glm(data, 1.0, 1.0, enumerate_partitions(4, 2))
+
+    @pytest.mark.parametrize("l_lipschitz", [np.nan, np.inf])
+    def test_general_lipschitz_checked(self, l_lipschitz):
+        with pytest.raises(InvalidArgumentError, match="l_lipschitz"):
+            GeneralModelParams(l_lipschitz=l_lipschitz)
 
     def test_general_identity(self):
         params = GeneralModelParams(xi=1.0, alpha_decrease=0.0, l_lipschitz=1.0)
         part = Partitioning(np.zeros(3, dtype=int), 1)
-        got = rate_general(np.eye(3), 1, params, "static", partitioning=part)
+        got = rate_general(np.eye(3), [part], params)
         assert got.rho == pytest.approx(0.5, abs=1e-12)
         assert got.contraction == pytest.approx(0.5, abs=1e-12)
 
@@ -307,7 +340,7 @@ class TestRates:
         m = random_spd(6, rng)
         gamma = 0.25
         params = GeneralModelParams(xi=1.0)
-        got = rate_general(gamma * m, 2, params, "dynamic", exact=True)
+        got = rate_general(gamma * m, enumerate_partitions(6, 2), params)
         expected_inv = expected_inverse_exact(m, 2)
         prod = m @ expected_inv @ m
         lam = np.linalg.eigvalsh(0.5 * (prod + prod.T))[0]
@@ -317,7 +350,7 @@ class TestRates:
         rng = np.random.default_rng(10)
         q = random_spd(6, rng)
         params = GeneralModelParams(xi=0.7, alpha_decrease=0.2, l_lipschitz=4.0)
-        got = rate_general(q, 2, params, "dynamic", exact=True)
+        got = rate_general(q, enumerate_partitions(6, 2), params)
         if 0.0 < got.rho * (1 - params.alpha_decrease) / params.l_lipschitz < 1.0:
             assert 0.0 < got.contraction < 1.0
 
@@ -429,7 +462,7 @@ class TestMeanInverseKernel:
         q = random_spd(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
         parts = [sample_uniform_partition(n, k, derive_seed(seed, i)) for i in range(samples)]
         want = dense_lambda(dense_mean_inverse(q, parts), q) / k
-        got = rate_quadratic(q, k, "dynamic", mc_samples=samples, seed=seed)
+        got = rate_quadratic(q, parts)
         assert got == pytest.approx(want, rel=1e-8, abs=1e-12)
 
     def test_mean_spanning_several_chunks(self):
@@ -449,15 +482,15 @@ class TestMeanInverseKernel:
         with pytest.raises(SingularBlockError) as exact:
             expected_inverse_exact(q, 2)
         with pytest.raises(SingularBlockError) as static:
-            rate_quadratic(q, 2, "static", partitioning=first)
+            rate_quadratic(q, [first])
         assert direct.value.block == exact.value.block == static.value.block == 1
         assert str(direct.value) == str(exact.value) == str(static.value)
 
     def test_static_partitioning_must_match_k(self):
-        part = sample_uniform_partition(6, 2, 1)
+        parts = [sample_uniform_partition(6, 3, 1), sample_uniform_partition(6, 2, 1)]
         with pytest.raises(InvalidArgumentError, match="2 blocks"):
-            rate_quadratic(np.eye(6), 3, "static", partitioning=part)
+            rate_quadratic(np.eye(6), parts)
         with pytest.raises(InvalidArgumentError, match="2 blocks"):
-            rate_glm(np.eye(6), 1.0, 1.0, 3, "static", partitioning=part)
+            rate_glm(np.eye(6), 1.0, 1.0, parts)
         with pytest.raises(InvalidArgumentError, match="2 blocks"):
-            rate_general(np.eye(6), 3, GeneralModelParams(), "static", partitioning=part)
+            rate_general(np.eye(6), parts, GeneralModelParams())
