@@ -100,8 +100,8 @@ class Quadratic:
         """Minimizer and minimum value, from the Cholesky factor that validated H."""
         return self._optimum
 
-    def suboptimality(self, x) -> float:
-        """f(x) - f*, evaluated as the error quadratic form.
+    def suboptimality(self, x, fx) -> float:
+        """f(x) - f*, evaluated as the error quadratic form, so ``fx`` = f(x) goes unused.
 
         1/2 (x - x*)^T H (x - x*) equals f(x) - f* exactly and avoids the
         cancellation of subtracting two nearly equal objective values.
@@ -286,15 +286,15 @@ class Glm:
         raise BlockprecError(
             f"Newton reference solve did not converge in {max_iter} iterations")
 
-    def suboptimality(self, x) -> float:
-        """f(x) - f*, via the error quadratic form for squared loss."""
+    def suboptimality(self, x, fx) -> float:
+        """f(x) - f* given ``fx`` = f(x), via the error quadratic form for squared loss."""
         x = _check_x(x, self.n)
         x_star, f_star = self.optimum()
         if self.loss == SQUARED:
             d = x - x_star
             r = np.asarray(self.a @ d, dtype=float).ravel()
             return 0.5 * float(r @ r) + 0.5 * self.lam * float(d @ d)
-        return self.value(x) - f_star
+        return fx - f_star
 
 
 def ridge(a, y, lam=0.0):

@@ -121,18 +121,22 @@ def sample_uniform_partition(n: int, k: int, seed: int) -> Partitioning:
     larger size), which is uniform over all such assignments. Deterministic
     given ``seed``.
     """
+    return Partitioning(_sample_assignments(n, k, [seed])[0], k)
+
+
+def _sample_assignments(n: int, k: int, seeds):
+    """(len(seeds), n) block assignments; row i is the one drawn from seeds[i]."""
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
     if k < 1 or k > n:
         raise InvalidArgumentError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
     base, extra = divmod(n, k)
-    sizes = [base + 1] * extra + [base] * (k - extra)
-    assignment = np.empty(n, dtype=np.intp)
-    assignment[perm] = np.repeat(np.arange(k), sizes)
-    return Partitioning(assignment, k)
+    labels = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
+    out = np.empty((len(seeds), n), dtype=np.intp)
+    for row, seed in zip(out, seeds):
+        check_seed(seed)
+        row[np.random.default_rng(seed).permutation(n)] = labels
+    return out
 
 
 def partition_count(n: int, k: int) -> int:

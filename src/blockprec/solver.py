@@ -189,7 +189,7 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
     def record(t):
         """Record iterate t and return its gradient."""
         fvals[t] = obj.value(x)
-        subopts[t] = obj.suboptimality(x)
+        subopts[t] = obj.suboptimality(x, fvals[t])
         grad = obj.gradient(x)
         gradnorms[t] = np.linalg.norm(grad)
         if not np.isfinite(fvals[t]):

@@ -30,10 +30,11 @@ from .partition import (
     DEFAULT_ENUMERATION_CAP,
     BlockCholesky,
     Partitioning,
+    _sample_assignments,
     check_symmetric_matrix,
     diagonal_blocks,
     enumerate_partitions,
-    sample_uniform_partition,
+    sample_uniform_partition,  # noqa: F401  (perfbench/test_smoke.py traces it here)
 )
 from .seeding import derive_seed, map_ordered
 
@@ -63,8 +64,20 @@ def lambda_min_of_expected(expected_inverse, q) -> float:
     return _min_eigenvalue(lower.T @ q @ lower)
 
 
-def _mean_inverse(q, parts):
-    """Mean of Q_P^{-1} over the partitionings ``parts`` of a validated Q.
+def _chunk_rows(n, entries_per_row):
+    """Rows per chunk so that a chunk stacks at most max(n^2, 2^16) entries."""
+    return max(n * n, 2**16) // entries_per_row
+
+
+def _raise_singular_block(q, assignments):
+    """Raise the SingularBlockError BlockCholesky raises for the first row with one."""
+    for row in assignments:
+        part = Partitioning(row, int(row.max()) + 1)
+        BlockCholesky(diagonal_blocks(q, part), part)
+
+
+def _mean_inverse(q, assignments):
+    """Mean of Q_P^{-1} over the rows of an (S, n) assignment array, for a validated Q.
 
     Per chunk of at most max(n^2, 2^16) stacked entries, the blocks of each
     size form one stack that one batched Cholesky inverts and one bincount
@@ -73,11 +86,11 @@ def _mean_inverse(q, parts):
     """
     n = q.shape[0]
     total = np.zeros(n * n)
-    step = max(n * n, 2**16) // int(np.sum(parts[0].block_sizes() ** 2))
-    for start in range(0, len(parts), step):
-        chunk = parts[start:start + step]
+    step = _chunk_rows(n, int(np.sum(np.bincount(assignments[0]) ** 2)))
+    for start in range(0, len(assignments), step):
+        chunk = assignments[start:start + step]
         # Coordinates by (block size, chunk-wide block id), ascending within a block.
-        ids = np.concatenate([p.assignment + n * s for s, p in enumerate(chunk)])
+        ids = (chunk + n * np.arange(len(chunk))[:, None]).ravel()
         sizes = np.bincount(ids)[ids]
         order = np.lexsort((ids, sizes))
         coords, sizes = order % n, sizes[order]
@@ -87,20 +100,72 @@ def _mean_inverse(q, parts):
             try:
                 inv_lower = np.linalg.inv(np.linalg.cholesky(q.ravel()[where]))
             except np.linalg.LinAlgError:
-                for part in chunk:
-                    # raises SingularBlockError naming the block
-                    BlockCholesky(diagonal_blocks(q, part), part)
+                _raise_singular_block(q, chunk)
                 raise
             inverse = inv_lower.transpose(0, 2, 1) @ inv_lower
             total += np.bincount(where.ravel(), inverse.ravel(), minlength=n * n)
-    return (total / len(parts)).reshape(n, n)
+    return (total / len(assignments)).reshape(n, n)
 
 
-def _sampled_partitions(n, k_blocks, n_samples, seed):
-    """The Monte Carlo partitionings: sample i is drawn with seed derive_seed(seed, i)."""
+def _lambda_min_stack(q, assignments):
+    """lambda_min(Q_P^{-1} Q) for each row of an (S, n) assignment array, for a validated Q.
+
+    Each row's coordinates are permuted by (block size, block label),
+    ascending within a block, so rows with the same block sizes share one
+    layout of contiguous diagonal blocks. Per layout the permuted matrices
+    form one stack: one batched Cholesky per block size factors Q_P = L L^T,
+    and W = L^{-1} Q L^{-T} = L^{-1} (L^{-1} Q)^T, Q being symmetric, is two
+    passes of L^{-1} over block rows between two buffers. A block that is
+    not positive definite raises the SingularBlockError that BlockCholesky
+    raises for it.
+    """
+    rows, n = assignments.shape
+    ids = assignments + n * np.arange(rows)[:, None]
+    sizes = np.bincount(ids.ravel(), minlength=rows * n)[ids]
+    perms = np.argsort(sizes * n + assignments, axis=1, kind="stable")
+    layouts, which = np.unique(np.take_along_axis(sizes, perms, axis=1), axis=0,
+                               return_inverse=True)
+    lam = np.empty(rows)
+    for u, layout in enumerate(layouts):
+        members = np.flatnonzero(which.ravel() == u)
+        perm, m = perms[members], members.size
+        a = q[perm[:, :, None], perm[:, None, :]]
+        b = np.empty_like(a)
+        block_sizes, offsets, widths = np.unique(layout, return_index=True, return_counts=True)
+        spans = [(slice(o, o + w), s, w // s) for s, o, w in zip(block_sizes, offsets, widths)]
+        inv_lowers = []
+        for span, s, count in spans:
+            j = np.arange(count)
+            blocks = a[:, span, span].reshape(m, count, s, count, s)[:, j, :, j, :]
+            try:
+                lower = np.linalg.cholesky(blocks)
+            except np.linalg.LinAlgError:
+                _raise_singular_block(q, assignments)
+                raise
+            inv_lowers.append(np.linalg.inv(lower).swapaxes(0, 1))
+
+        def rows_pass(src, dst):
+            for (span, s, count), inv_lower in zip(spans, inv_lowers):
+                np.matmul(inv_lower, src[:, span].reshape(m, count, s, n),
+                          out=dst[:, span].reshape(m, count, s, n))
+
+        rows_pass(a, b)
+        np.copyto(a, b.transpose(0, 2, 1))
+        rows_pass(a, b)
+        lam[members] = np.linalg.eigvalsh(b)[:, 0]
+    return lam
+
+
+def _sample_seeds(n_samples, seed):
+    """Per-sample seeds: sample i is drawn with seed derive_seed(seed, i)."""
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be at least 1")
-    return [sample_uniform_partition(n, k_blocks, derive_seed(seed, i)) for i in range(n_samples)]
+    return [derive_seed(seed, i) for i in range(n_samples)]
+
+
+def _enumerated_assignments(n, k_blocks, cap):
+    """``enumerate_partitions(n, k_blocks, cap)`` as one (S, n) assignment array."""
+    return np.stack([p.assignment for p in enumerate_partitions(n, k_blocks, cap=cap)])
 
 
 def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
@@ -113,12 +178,12 @@ def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
     Deterministic given the seed.
     """
     q = check_symmetric_matrix(q)
-    parts = _sampled_partitions(q.shape[0], k_blocks, n_samples, seed)
+    assignments = _sample_assignments(q.shape[0], k_blocks, _sample_seeds(n_samples, seed))
     bounds = np.linspace(0, n_samples, min(N_BATCHES, n_samples) + 1).astype(int)
     total = np.zeros_like(q)
     batch_values = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mean = _mean_inverse(q, parts[lo:hi])
+        mean = _mean_inverse(q, assignments[lo:hi])
         batch_values.append(lambda_min_of_expected(mean, q))
         total += (hi - lo) * mean
     if len(batch_values) < 2:
@@ -130,7 +195,7 @@ def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
 def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Exact mean of Q_P^{-1} over all equal-size partitionings."""
     q = check_symmetric_matrix(q)
-    return _mean_inverse(q, enumerate_partitions(q.shape[0], k_blocks, cap=cap))
+    return _mean_inverse(q, _enumerated_assignments(q.shape[0], k_blocks, cap))
 
 
 def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
@@ -222,8 +287,8 @@ def separable_toy(alpha: float) -> SeparableToy:
     return SeparableToy(alpha, 1.0, 1.0 - alpha, 1.0 / 3.0 + (2.0 / 3.0) * (1.0 - alpha))
 
 
-def _check_parts(parts, n) -> int:
-    """The K of ``parts``: a non-empty sequence of Partitionings over n coordinates, one K."""
+def _check_parts(parts, n):
+    """K and the stacked assignments of ``parts``, Partitionings over n coordinates with one K."""
     if not (isinstance(parts, Sequence) and parts
             and all(isinstance(p, Partitioning) for p in parts)):
         raise InvalidArgumentError("parts must be a non-empty sequence of Partitionings")
@@ -232,7 +297,7 @@ def _check_parts(parts, n) -> int:
         if (p.n, p.k_blocks) != (n, k):
             raise InvalidArgumentError(f"partitioning {i} has {p.k_blocks} blocks over {p.n} "
                                        f"coordinates, not {k} over {n}")
-    return k
+    return k, np.stack([p.assignment for p in parts])
 
 
 def rate_quadratic(q, parts) -> float:
@@ -243,8 +308,8 @@ def rate_quadratic(q, parts) -> float:
     the exact repartitioning rate, and Monte Carlo draws an estimate of it.
     """
     q = check_symmetric_matrix(q)
-    k = _check_parts(parts, q.shape[0])
-    return lambda_min_of_expected(_mean_inverse(q, parts), q) / k
+    k, assignments = _check_parts(parts, q.shape[0])
+    return lambda_min_of_expected(_mean_inverse(q, assignments), q) / k
 
 
 def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
@@ -269,11 +334,11 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
     if not scipy.sparse.issparse(a):
         a = np.asarray(a, dtype=float)
     m_rows, n = a.shape
-    k = _check_parts(parts, n)
+    k, assignments = _check_parts(parts, n)
     gram = gram_matrix(a)
     shifted = check_symmetric_matrix(gram + lambda_shift * np.eye(n) if lambda_shift else gram)
     try:
-        expected = _mean_inverse(shifted, parts)
+        expected = _mean_inverse(shifted, assignments)
     except SingularBlockError as exc:
         raise SingularBlockError(
             exc.block, f"{exc}; pass lambda_shift > 0 to regularize the masked blocks"
@@ -326,8 +391,8 @@ def rate_general(q, parts, params: GeneralModelParams) -> GeneralRate:
     Reporting only; nothing here is enforced on solver runs.
     """
     q = check_symmetric_matrix(q)
-    k = _check_parts(parts, q.shape[0])
-    lam = _min_eigenvalue(q.T @ _mean_inverse(q, parts) @ q)
+    k, assignments = _check_parts(parts, q.shape[0])
+    lam = _min_eigenvalue(q.T @ _mean_inverse(q, assignments) @ q)
     rho = params.xi / (2.0 * k) * lam
     return GeneralRate(rho, 1.0 - rho * (1.0 - params.alpha_decrease) / params.l_lipschitz)
 
@@ -407,24 +472,26 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
                  cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1) -> SpectralReport:
     """Sample the eigenvalue distribution and estimate the repartitioning value.
 
-    The distribution of lambda_min(Q_P^{-1} Q) runs on ``threads`` workers.
-    In sampled mode it and the Monte Carlo mean each use ``n_samples``
+    The distribution of lambda_min(Q_P^{-1} Q) is computed in stacked chunks
+    of at most max(n^2, 2^16) matrix entries, on ``threads`` workers. In
+    sampled mode it and the Monte Carlo mean each use ``n_samples``
     partitionings from disjoint derived seed streams; in exact mode both
     use every equal-size partitioning, enumerated once.
     """
     q = check_symmetric_matrix(q)
     n = q.shape[0]
     if exact:
-        parts = enumerate_partitions(n, k_blocks, cap=cap)
-        keys = range(len(parts))
+        assignments = _enumerated_assignments(n, k_blocks, cap)
+        keys = range(len(assignments))
     else:
-        violin_seed = derive_seed(seed, 0)
-        keys = [derive_seed(violin_seed, i) for i in range(n_samples)]
-        parts = [sample_uniform_partition(n, k_blocks, key) for key in keys]
-    values = map_ordered(lambda part: lambda_min_precond(q, part), parts, threads)
-    samples = [SpectralSample(key, lam) for key, lam in zip(keys, values)]
+        keys = _sample_seeds(n_samples, derive_seed(seed, 0))
+        assignments = _sample_assignments(n, k_blocks, keys)
+    step = _chunk_rows(n, n * n)
+    chunks = [assignments[lo:lo + step] for lo in range(0, len(assignments), step)]
+    values = np.concatenate(list(map_ordered(lambda c: _lambda_min_stack(q, c), chunks, threads)))
+    samples = [SpectralSample(key, lam) for key, lam in zip(keys, values.tolist())]
     if exact:
-        value, stderr = lambda_min_of_expected(_mean_inverse(q, parts), q), None
+        value, stderr = lambda_min_of_expected(_mean_inverse(q, assignments), q), None
     else:
         value, stderr = expected_lambda_mc(q, k_blocks, n_samples, derive_seed(seed, 1))
     return SpectralReport(n, k_blocks, samples, value, "exact" if exact else "mc",

@@ -138,6 +138,44 @@ class TestSpectral:
                        "--seed", 0, "--out", tmp_path / "rep")
         assert code == 3
 
+    @pytest.mark.parametrize("mode", [["--exact"], ["--samples", 20]])
+    def test_singular_block_one_stderr_line(self, tmp_path, capsys, mode):
+        q = np.eye(6)
+        q[1, 4] = q[4, 1] = 2.0
+        save_q(tmp_path / "bad.q", q, {"kind": "custom"})
+        capsys.readouterr()
+        code = run_cli("spectral", "--q", tmp_path / "bad.q", "--k", 2, *mode,
+                       "--seed", 0, "--out", tmp_path / "rep")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("blockprec: numerical failure: block ")
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_exit_2(self, tmp_path, capsys, samples):
+        qfile = tmp_path / "u"
+        run_cli("gen", "--kind", "uniform", "--n", 8, "--alpha", 0.1, "--seed", 0, "--out", qfile)
+        capsys.readouterr()
+        code = run_cli("spectral", "--q", str(qfile) + ".q", "--k", 2, "--samples", samples,
+                       "--seed", 0, "--out", tmp_path / "rep")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "blockprec: invalid arguments: n_samples must be at least 1\n"
+
+    @pytest.mark.parametrize("mode", [["--k", 12, "--samples", 30], ["--k", 12, "--exact"],
+                                      ["--k", 1, "--exact"]])
+    def test_extreme_block_counts(self, tmp_path, mode):
+        qfile = tmp_path / "r"
+        run_cli("gen", "--kind", "randomcorr", "--n", 12, "--alpha", 0.2, "--seed", 1,
+                "--out", qfile)
+        out = tmp_path / "rep"
+        assert run_cli("spectral", "--q", str(qfile) + ".q", *mode, "--seed", 0,
+                       "--out", out) == 0
+        report = json.loads(out.with_suffix(".json").read_text())
+        # blocks of size 1 keep only the diagonal; one block keeps all of Q
+        assert all(0.0 < s["lambda_min"] <= 1.0 + 1e-10 for s in report["samples"])
+        if mode[1] == 1:
+            assert report["samples"][0]["lambda_min"] == pytest.approx(1.0, abs=1e-12)
+
     def test_parse_error_exit_4(self, tmp_path):
         ds = tmp_path / "bad.libsvm"
         ds.write_text("1 1:1.0\n-1 2:zzz\n")

@@ -79,9 +79,10 @@ class TestQuadratic:
         obj = Quadratic(g @ g.T / 12 + 0.2 * np.eye(6), rng.standard_normal(6))
         _, f_star = obj.optimum()
         x = rng.standard_normal(6)
-        naive = obj.value(x) - f_star
-        assert obj.suboptimality(x) == pytest.approx(naive, rel=1e-10)
-        assert obj.suboptimality(x) >= 0.0
+        fx = obj.value(x)
+        naive = fx - f_star
+        assert obj.suboptimality(x, fx) == pytest.approx(naive, rel=1e-10)
+        assert obj.suboptimality(x, fx) >= 0.0
 
 
 class TestRidge:

@@ -19,6 +19,7 @@ from blockprec import (
     partition_count,
     sample_uniform_partition,
 )
+from blockprec.partition import _sample_assignments
 
 
 def random_spd(n, rng, ridge=0.1):
@@ -69,6 +70,17 @@ class TestSampling:
                     got = sample_uniform_partition(n, k, seed).assignment
                     assert got.dtype == np.intp
                     np.testing.assert_array_equal(got, loop_assignment(n, k, seed))
+
+    def test_array_sampler_matches_single_draws(self):
+        # one (S, n) draw equals S single draws, row by row, bit for bit
+        seeds = [0, 1, 7, 2**63, 2**64 - 1]
+        for n in range(1, 14):
+            for k in range(1, n + 1):
+                got = _sample_assignments(n, k, seeds)
+                assert got.shape == (len(seeds), n) and got.dtype == np.intp
+                for row, seed in zip(got, seeds):
+                    np.testing.assert_array_equal(
+                        row, sample_uniform_partition(n, k, seed).assignment)
 
     @pytest.mark.parametrize("n,k", [(3, 4), (5, 0), (0, 1)])
     def test_invalid_arguments(self, n, k):

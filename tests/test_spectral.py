@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,11 @@ from blockprec import (
     separable_toy,
     uniform_closed_form,
 )
-from blockprec.spectral import expected_inverse_exact, lambda_min_of_expected
+from blockprec.spectral import (
+    _lambda_min_stack,
+    expected_inverse_exact,
+    lambda_min_of_expected,
+)
 
 
 def random_spd(n, rng, ridge=0.1):
@@ -415,10 +420,10 @@ class TestReport:
         monkeypatch.setattr(spectral, "BlockCholesky", CountingCholesky)
         q = gen_uniform_q(6, 0.3)
         report = build_report(q, 2, exact=True)
-        assert len(built) == len(report.samples) == 10
-        built.clear()
+        assert len(report.samples) == 10
+        assert built == []  # the distribution and the means are stacked
         build_report(q, 2, n_samples=7, seed=3)
-        assert len(built) == 7  # the distribution samples; the MC mean is batched
+        assert built == []
 
     def test_mc_expected_inverse_batchwise_matches_plain_mean(self):
         # value and stderr against 10 dense batch means over the same bounds
@@ -494,3 +499,81 @@ class TestMeanInverseKernel:
             rate_glm(np.eye(6), 1.0, 1.0, parts)
         with pytest.raises(InvalidArgumentError, match="2 blocks"):
             rate_general(np.eye(6), parts, GeneralModelParams())
+
+
+def lambda_min_generalized(q, part):
+    """lambda_min of the pencil (Q, Q_P), the spectrum of Q_P^{-1} Q."""
+    return float(scipy.linalg.eigh(q, block_mask(q, part), eigvals_only=True,
+                                   subset_by_index=[0, 0])[0])
+
+
+class TestStackedDistribution:
+    """build_report's stacked lambda_min(Q_P^{-1} Q) against per-partitioning oracles."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 24), data=st.data())
+    def test_sampled_matches_per_partitioning_oracles(self, n, data):
+        k = data.draw(st.integers(1, n))
+        samples = data.draw(st.integers(1, 30))
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        q = random_spd(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
+        report = build_report(q, k, n_samples=samples, seed=seed)
+        violin = derive_seed(seed, 0)
+        assert [s.key for s in report.samples] == [derive_seed(violin, i) for i in range(samples)]
+        for s in report.samples:
+            part = sample_uniform_partition(n, k, s.key)
+            assert s.lambda_min == pytest.approx(lambda_min_precond(q, part), abs=1e-12)
+            assert s.lambda_min == pytest.approx(lambda_min_generalized(q, part), abs=1e-12)
+
+    def test_exact_spanning_several_chunks(self):
+        # 5775 partitionings of 12 coordinates: 13 chunks of at most 2^16 / 12^2 = 455
+        q = random_spd(12, np.random.default_rng(5))
+        parts = enumerate_partitions(12, 3)
+        report = build_report(q, 3, exact=True)
+        assert [s.key for s in report.samples] == list(range(len(parts))) == list(range(5775))
+        got = np.array([s.lambda_min for s in report.samples])
+        want = np.array([lambda_min_precond(q, p) for p in parts])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for i in (0, 454, 455, 2888, 5774):
+            assert got[i] == pytest.approx(lambda_min_generalized(q, parts[i]), abs=1e-12)
+
+    def test_mixed_block_sizes_share_one_stack(self):
+        # rows with different block sizes form separate layouts of one call
+        q = random_spd(7, np.random.default_rng(8))
+        rows = np.array([[0, 0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1, 1],
+                         [1, 1, 1, 1, 1, 1, 0], [1, 1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1, 1]])
+        want = [lambda_min_precond(q, Partitioning(row, 2)) for row in rows]
+        np.testing.assert_allclose(_lambda_min_stack(q, rows), want, rtol=0, atol=1e-12)
+
+    def test_threads_give_equal_values(self):
+        q = random_spd(40, np.random.default_rng(6))
+        a = build_report(q, 4, n_samples=200, seed=2, threads=1)  # chunks of 40 rows
+        b = build_report(q, 4, n_samples=200, seed=2, threads=2)
+        assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
+        assert [s.key for s in a.samples] == [s.key for s in b.samples]
+        assert a.lambda_min_expected == b.lambda_min_expected and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_singular_block_named_as_block_cholesky_names_it(self, exact):
+        q = np.eye(6)
+        q[1, 4] = q[4, 1] = 2.0  # every block holding 1 and 4 is indefinite
+        if exact:
+            parts = enumerate_partitions(6, 2)
+        else:
+            violin = derive_seed(7, 0)
+            parts = [sample_uniform_partition(6, 2, derive_seed(violin, i)) for i in range(20)]
+        for part in parts:
+            try:
+                BlockCholesky(diagonal_blocks(q, part), part)
+            except SingularBlockError as exc:
+                direct = exc
+                break
+        with pytest.raises(SingularBlockError) as got:
+            build_report(q, 2, n_samples=20, seed=7, exact=exact)
+        assert got.value.block == direct.block
+        assert str(got.value) == str(direct)
+
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_no_samples_rejected(self, n_samples):
+        with pytest.raises(InvalidArgumentError, match="n_samples must be at least 1"):
+            build_report(np.eye(4), 2, n_samples=n_samples)
