@@ -10,10 +10,12 @@ expectation is computed exactly (full enumeration) at small scale and by
 Monte Carlo otherwise, and in closed form for uniform-correlation and
 block-separable structures.
 
-All lambda_min computations go through symmetric congruences of the
-nonsymmetric products (L^{-1} Q L^{-T} with Q_P = L L^T for a single
-partitioning, L^T Q L with E = L L^T for expectations), which preserve
-the spectrum exactly and keep the eigensolver on symmetric matrices.
+Every lambda_min of a nonsymmetric product is taken on a symmetric matrix
+similar to it: L^{-1} Q L^{-T} with Q_P = L L^T for a single partitioning,
+and R E R^T with Q = R^T R for an expectation E, so Q is factored once per
+call however many expectations it serves. A single lambda_min comes from a
+subset eigensolve that reads one triangle; the stacked per-partitioning
+distribution keeps one batched full eigensolve.
 """
 
 import json
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+from scipy.linalg.blas import dtrmm
 
 from .errors import InvalidArgumentError, SingularBlockError, UnsupportedLossError
 from .objectives import gram_matrix
@@ -42,8 +45,9 @@ N_BATCHES = 10
 
 
 def _min_eigenvalue(m) -> float:
-    """Smallest eigenvalue of a matrix symmetric up to roundoff, symmetrized here."""
-    return float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+    """Smallest eigenvalue of a matrix symmetric up to roundoff, read from its lower triangle."""
+    return float(scipy.linalg.eigh(m, eigvals_only=True, subset_by_index=[0, 0],
+                                   check_finite=False)[0])
 
 
 def lambda_min_precond(q, part: Partitioning) -> float:
@@ -51,17 +55,14 @@ def lambda_min_precond(q, part: Partitioning) -> float:
     return _min_eigenvalue(BlockCholesky(diagonal_blocks(q, part), part).whiten(q))
 
 
-def lambda_min_of_expected(expected_inverse, q) -> float:
-    """Smallest eigenvalue of E Q given a symmetric SPD mean-of-inverses E.
+def lambda_min_of_expected(expected_inverse, upper) -> float:
+    """Smallest eigenvalue of E Q given a mean-of-inverses E and Q = R^T R, R = ``upper``.
 
-    Uses the symmetric form L^T Q L with E = L L^T, similar to E Q.
+    R E R^T = R (E Q) R^{-1} is similar to E Q and symmetric up to roundoff;
+    it takes two triangular products.
     """
-    e = check_symmetric_matrix(np.asarray(expected_inverse), tol=1e-8)
-    try:
-        lower = scipy.linalg.cholesky(e, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        raise InvalidArgumentError("mean of inverses is not positive definite") from None
-    return _min_eigenvalue(lower.T @ q @ lower)
+    left = dtrmm(1.0, upper, expected_inverse)
+    return _min_eigenvalue(dtrmm(1.0, upper, left, side=1, trans_a=1, overwrite_b=1))
 
 
 def _chunk_rows(n, entries_per_row):
@@ -74,6 +75,20 @@ def _raise_singular_block(q, assignments):
     for row in assignments:
         part = Partitioning(row, int(row.max()) + 1)
         BlockCholesky(diagonal_blocks(q, part), part)
+
+
+def _factor(q, assignments):
+    """Upper Cholesky factor R of a validated Q = R^T R.
+
+    If Q is not positive definite, raises the SingularBlockError of the
+    first row of ``assignments`` with a singular diagonal block, else
+    InvalidArgumentError.
+    """
+    try:
+        return scipy.linalg.cholesky(q, lower=False, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        _raise_singular_block(q, assignments)
+        raise InvalidArgumentError("Q is not positive definite") from None
 
 
 def _mean_inverse(q, assignments):
@@ -168,28 +183,37 @@ def _enumerated_assignments(n, k_blocks, cap):
     return np.stack([p.assignment for p in enumerate_partitions(n, k_blocks, cap=cap)])
 
 
-def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
-    """Monte Carlo estimate of lambda_min(E[Q_P^{-1}] Q) with standard error.
+def _lambda_mc(q, upper, assignments):
+    """(lambda_min(E Q), batch-means stderr) for the mean E over the rows of ``assignments``.
 
-    Returns (estimate, stderr). The estimate is lambda_min of the
-    congruence L^T Q L, E = L L^T, built from the full mean of sampled
-    block inverses; the standard error comes from the spread of the same
-    statistic over 10 sample batches, streamed into that mean one by one.
-    Deterministic given the seed.
+    The estimate is lambda_min of the full mean; the standard error comes
+    from the spread of the same statistic over 10 batches of rows, each
+    batch mean streamed into the full one. Q = R^T R, R = ``upper``.
     """
-    q = check_symmetric_matrix(q)
-    assignments = _sample_assignments(q.shape[0], k_blocks, _sample_seeds(n_samples, seed))
+    n_samples = len(assignments)
     bounds = np.linspace(0, n_samples, min(N_BATCHES, n_samples) + 1).astype(int)
     total = np.zeros_like(q)
     batch_values = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         mean = _mean_inverse(q, assignments[lo:hi])
-        batch_values.append(lambda_min_of_expected(mean, q))
+        batch_values.append(lambda_min_of_expected(mean, upper))
         total += (hi - lo) * mean
     if len(batch_values) < 2:
         return batch_values[0], 0.0
     stderr = float(np.std(batch_values, ddof=1) / np.sqrt(len(batch_values)))
-    return lambda_min_of_expected(total / n_samples, q), stderr
+    return lambda_min_of_expected(total / n_samples, upper), stderr
+
+
+def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
+    """Monte Carlo estimate of lambda_min(E[Q_P^{-1}] Q) with standard error.
+
+    Returns (estimate, stderr): lambda_min for the mean of sampled block
+    inverses, and the batch-means standard error over 10 sample batches.
+    Q must be positive definite. Deterministic given the seed.
+    """
+    q = check_symmetric_matrix(q)
+    assignments = _sample_assignments(q.shape[0], k_blocks, _sample_seeds(n_samples, seed))
+    return _lambda_mc(q, _factor(q, assignments), assignments)
 
 
 def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -200,7 +224,9 @@ def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP)
 
 def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Exact lambda_min(E[Q_P^{-1}] Q) by enumerating all partitionings."""
-    return lambda_min_of_expected(expected_inverse_exact(q, k_blocks, cap=cap), q)
+    q = check_symmetric_matrix(q)
+    assignments = _enumerated_assignments(q.shape[0], k_blocks, cap)
+    return lambda_min_of_expected(_mean_inverse(q, assignments), _factor(q, assignments))
 
 
 @dataclass(frozen=True)
@@ -309,7 +335,7 @@ def rate_quadratic(q, parts) -> float:
     """
     q = check_symmetric_matrix(q)
     k, assignments = _check_parts(parts, q.shape[0])
-    return lambda_min_of_expected(_mean_inverse(q, assignments), q) / k
+    return lambda_min_of_expected(_mean_inverse(q, assignments), _factor(q, assignments)) / k
 
 
 def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
@@ -318,10 +344,11 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
 
     The expectation is the mean over ``parts``, as in ``rate_quadratic``.
     M = A^T A (plus ``lambda_shift`` I when its blocks would be singular)
-    supplies the masked inverses. For wide products (more rows than
-    columns) the zero part of the spectrum of A E A^T is structural, so
-    lambda_min is taken over the equivalent nonzero spectrum via the
-    n x n congruence L^T A^T A L with E = L L^T.
+    supplies the masked inverses. For tall A (more rows than columns) the
+    zero part of the spectrum of A E A^T is structural, so lambda_min is
+    taken over the n x n product E A^T A through A^T A = R^T R. If such an
+    A lacks full column rank, A^T A is singular and, E being positive
+    definite, that lambda_min is exactly 0, returned as 0.0.
     """
     if mu_loss is None:
         raise UnsupportedLossError(
@@ -346,7 +373,12 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
     if m_rows <= n:
         lam = _min_eigenvalue(np.asarray(a @ (a @ expected).T))
     else:
-        lam = lambda_min_of_expected(expected, gram)
+        try:
+            upper = scipy.linalg.cholesky(gram, lower=False, check_finite=False)
+        except scipy.linalg.LinAlgError:  # A^T A is singular and E is positive definite
+            lam = 0.0
+        else:
+            lam = lambda_min_of_expected(expected, upper)
     return mu_loss / (k * gamma_loss) * lam
 
 
@@ -491,8 +523,10 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     values = np.concatenate(list(map_ordered(lambda c: _lambda_min_stack(q, c), chunks, threads)))
     samples = [SpectralSample(key, lam) for key, lam in zip(keys, values.tolist())]
     if exact:
-        value, stderr = lambda_min_of_expected(_mean_inverse(q, assignments), q), None
+        upper = _factor(q, assignments)
+        value, stderr = lambda_min_of_expected(_mean_inverse(q, assignments), upper), None
     else:
-        value, stderr = expected_lambda_mc(q, k_blocks, n_samples, derive_seed(seed, 1))
+        mean_rows = _sample_assignments(n, k_blocks, _sample_seeds(n_samples, derive_seed(seed, 1)))
+        value, stderr = _lambda_mc(q, _factor(q, mean_rows), mean_rows)
     return SpectralReport(n, k_blocks, samples, value, "exact" if exact else "mc",
                           len(samples), stderr, closed_form)

@@ -16,6 +16,13 @@ from blockprec.cli import main
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
+def indefinite_q():
+    """Symmetric and indefinite, with every diagonal entry positive."""
+    q = np.eye(6)
+    q[0, 1] = q[1, 0] = 2.0
+    return q
+
+
 def run_cli(*args):
     return main([str(a) for a in args])
 
@@ -149,6 +156,18 @@ class TestSpectral:
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("blockprec: numerical failure: block ")
+
+    @pytest.mark.parametrize("mode", [["--exact"], ["--samples", 20]])
+    def test_q_not_positive_definite_exit_2(self, tmp_path, capsys, mode):
+        # every 1x1 block is positive definite, Q itself is indefinite
+        save_q(tmp_path / "indef.q", indefinite_q(), {"kind": "custom"})
+        capsys.readouterr()
+        code = run_cli("spectral", "--q", tmp_path / "indef.q", "--k", 6, *mode,
+                       "--seed", 0, "--out", tmp_path / "rep")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "blockprec: invalid arguments: Q is not positive definite\n"
+        assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_exit_2(self, tmp_path, capsys, samples):
@@ -546,7 +565,7 @@ _COMMON = {"seed": (st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, 2**12
            "out": (st.sampled_from(["out", "sub/out"]), st.just("missing/../out"), True)}
 _SOURCES = {"q": (st.sampled_from(["u.q", "s.q"]),
                   st.sampled_from(["a.libsvm", "junk.bin", "missing.q", "badjson.q", "list.q",
-                                   "deep.q", "noalpha.q", "stralpha.q"])),
+                                   "deep.q", "noalpha.q", "stralpha.q", "indef.q"])),
             "dataset": (st.just("a.libsvm"), st.sampled_from(["u.q", "junk.bin", "missing.q"]))}
 _JUNK = st.one_of(st.none(), st.booleans(), st.text("abc-_", max_size=4),
                   st.lists(st.integers(0, 3), max_size=2),
@@ -561,6 +580,7 @@ def fuzz_dir(tmp_path_factory):
     (d / "a.libsvm").write_text("1 1:0.5 2:1.0\n0 2:0.25 3:2.0\n1 1:1.5 3:0.5 4:1.0\n"
                                 "0 1:0.5 4:0.75\n1 2:1.25 4:0.5\n0 1:1.0 3:1.0\n")
     (d / "junk.bin").write_bytes(bytes(range(256)))
+    save_q(d / "indef.q", indefinite_q(), {"kind": "custom"})
     # Malformed sidecars next to a well-formed matrix.
     save_q(d / "noalpha.q", gen_uniform_q(6, 0.3), {"kind": "uniform"})
     save_q(d / "stralpha.q", gen_uniform_q(6, 0.3), {"kind": "uniform", "alpha": "abc"})

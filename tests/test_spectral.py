@@ -247,7 +247,7 @@ class TestRates:
         gram = a.T @ a
         rho = rate_glm(a, 2.0, 0.5, enumerate_partitions(6, 2))
         expected_inv = expected_inverse_exact(gram, 2)
-        lam = lambda_min_of_expected(expected_inv, gram)
+        lam = lambda_min_of_expected(expected_inv, scipy.linalg.cholesky(gram))
         assert rho == pytest.approx(0.5 / (2 * 2.0) * lam, rel=1e-8)
 
     def test_glm_wide_product_positive(self):
@@ -257,6 +257,22 @@ class TestRates:
         a = rng.standard_normal((40, 6)) / 6.0
         rho = rate_glm(a, 1.0, 1.0, enumerate_partitions(6, 2))
         assert rho > 0.0
+
+    @pytest.mark.parametrize("lambda_shift", [0.0, 1.0])
+    def test_glm_rank_deficient_tall_gives_zero(self, lambda_shift):
+        # two one-hot groups of 3 columns each sum to the ones vector, so
+        # A^T A (10 x 6) has rank 5 while every 3-column block stays regular
+        rows = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [1, 2], [2, 0], [0, 2], [1, 0],
+                         [2, 1], [0, 0]])
+        a = np.zeros((10, 6))
+        a[np.arange(10), rows[:, 0]] = a[np.arange(10), 3 + rows[:, 1]] = 1.0
+        gram = a.T @ a
+        assert np.linalg.matrix_rank(gram) == 5
+        parts = enumerate_partitions(6, 2)
+        for matrix in (a, scipy.sparse.csr_matrix(a)):
+            assert rate_glm(matrix, 1.0, 1.0, parts, lambda_shift=lambda_shift) == 0.0
+        expected_inv = dense_mean_inverse(gram + lambda_shift * np.eye(6), parts)
+        assert abs(congruence_lambda(expected_inv, gram)) <= 1e-12
 
     def test_glm_unknown_mu_rejected(self):
         with pytest.raises(UnsupportedLossError):
@@ -445,6 +461,96 @@ def dense_mean_inverse(q, parts):
 def dense_lambda(expected, q):
     """lambda_min of the nonsymmetric product E Q."""
     return float(np.min(np.linalg.eigvals(expected @ q).real))
+
+
+def congruence_lambda(expected, q):
+    """lambda_min of E Q as lambda_min(L^T Q L), E = L L^T, on the symmetrized product."""
+    lower = np.linalg.cholesky(expected)
+    w = lower.T @ q @ lower
+    return float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
+
+
+def indefinite_q():
+    """Symmetric and indefinite, with every diagonal entry positive."""
+    q = np.eye(6)
+    q[0, 1] = q[1, 0] = 2.0
+    return q
+
+
+class TestFactoredExpectation:
+    """lambda_min(E Q) through Q = R^T R against dense and congruence oracles."""
+
+    @pytest.mark.parametrize("n, k", [(5, 2), (5, 5), (13, 3), (13, 4), (60, 4), (60, 7)])
+    def test_matches_eigvals_of_product(self, n, k):
+        q = random_spd(n, np.random.default_rng(n + k))
+        parts = [sample_uniform_partition(n, k, derive_seed(k, i)) for i in range(20)]
+        expected = dense_mean_inverse(q, parts)
+        got = lambda_min_of_expected(expected, scipy.linalg.cholesky(q))
+        assert got == pytest.approx(dense_lambda(expected, q), rel=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(6, 2), (6, 3), (7, 2), (13, 3)])
+    def test_rates_match_congruence_of_mean(self, n, k):
+        q = random_spd(n, np.random.default_rng(10 * n + k))
+        parts = [sample_uniform_partition(n, k, derive_seed(4, i)) for i in range(50)]
+        expected = dense_mean_inverse(q, parts)
+        assert rate_quadratic(q, parts) * k == pytest.approx(congruence_lambda(expected, q),
+                                                             rel=1e-12)
+        assert rate_quadratic(q, parts[:1]) * k == pytest.approx(
+            congruence_lambda(np.linalg.inv(block_mask(q, parts[0])), q), rel=1e-12)
+        w = q @ expected @ q
+        assert rate_general(q, parts, GeneralModelParams()).rho * 2 * k == pytest.approx(
+            float(np.linalg.eigvalsh(0.5 * (w + w.T))[0]), rel=1e-12)
+        if n % k == 0:
+            exact = dense_mean_inverse(q, enumerate_partitions(n, k))
+            assert expected_lambda_exact(q, k) == pytest.approx(congruence_lambda(exact, q),
+                                                                rel=1e-12)
+
+    @pytest.mark.parametrize("n, k, samples", [(6, 2, 25), (7, 3, 200), (12, 12, 30)])
+    def test_mc_value_and_stderr_match_congruence_of_batches(self, n, k, samples):
+        q = random_spd(n, np.random.default_rng(n))
+        value, stderr = expected_lambda_mc(q, k, samples, seed=5)
+        inverses = [np.linalg.inv(block_mask(q, sample_uniform_partition(n, k, derive_seed(5, i))))
+                    for i in range(samples)]
+        bounds = np.linspace(0, samples, 11).astype(int)
+        batches = [congruence_lambda(np.mean(inverses[lo:hi], axis=0), q)
+                   for lo, hi in zip(bounds[:-1], bounds[1:])]
+        want = congruence_lambda(np.mean(inverses, axis=0), q)
+        assert value == pytest.approx(want, rel=1e-12)
+        # stderr is a spread of lambda values, so roundoff is measured on their scale
+        assert abs(stderr - np.std(batches, ddof=1) / np.sqrt(10)) <= 1e-12 * want
+
+    def test_report_mean_is_expected_lambda_mc_on_its_stream(self):
+        q = random_spd(9, np.random.default_rng(2))
+        report = build_report(q, 3, n_samples=40, seed=6)
+        assert (report.lambda_min_expected, report.stderr) == expected_lambda_mc(
+            q, 3, 40, derive_seed(6, 1))
+
+    @pytest.mark.parametrize("call", [
+        lambda q: rate_quadratic(q, [sample_uniform_partition(6, 6, 0)]),
+        lambda q: rate_quadratic(q, enumerate_partitions(6, 6)),
+        lambda q: expected_lambda_exact(q, 6),
+        lambda q: expected_lambda_mc(q, 6, 20, seed=1),
+        lambda q: build_report(q, 6, exact=True),
+        lambda q: build_report(q, 6, n_samples=20, seed=1),
+    ])
+    def test_q_not_positive_definite_rejected(self, call):
+        # every 1 x 1 block is positive definite, so only Q itself fails
+        with pytest.raises(InvalidArgumentError, match="^Q is not positive definite$"):
+            call(indefinite_q())
+
+    def test_singular_block_takes_precedence_over_q(self):
+        q = indefinite_q()
+        parts = [sample_uniform_partition(6, 2, derive_seed(3, i)) for i in range(20)]
+        for part in parts:
+            try:
+                BlockCholesky(diagonal_blocks(q, part), part)
+            except SingularBlockError as exc:
+                direct = exc
+                break
+        with pytest.raises(SingularBlockError) as got:
+            expected_lambda_mc(q, 2, 20, seed=3)
+        assert got.value.block == direct.block
+        assert str(got.value) == str(direct)
 
 
 class TestMeanInverseKernel:
