@@ -154,17 +154,22 @@ def enumerate_partitions(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP):
     (block j contains the smallest index not covered by blocks < j).
     Requires K | n and the total count not to exceed ``cap``.
     """
+    return [Partitioning(row, k) for row in _enumerate_assignments(n, k, cap)]
+
+
+def _enumerate_assignments(n: int, k: int, cap: int):
+    """``enumerate_partitions(n, k, cap)`` as one (S, n) assignment array, in the same order."""
     count = partition_count(n, k)
     if count > cap:
         raise EnumerationCapError(
             f"{count} partitionings for n={n}, k={k} exceed the cap of {cap}")
     nk = n // k
-    out = []
+    rows = []
     assignment = np.empty(n, dtype=np.intp)
 
     def fill(remaining, block):
         if not remaining:
-            out.append(Partitioning(assignment.copy(), k))
+            rows.append(assignment.copy())
             return
         head, rest = remaining[0], remaining[1:]
         assignment[head] = block
@@ -175,7 +180,7 @@ def enumerate_partitions(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP):
             fill([i for i in rest if i not in taken], block + 1)
 
     fill(list(range(n)), 0)
-    return out
+    return np.stack(rows)
 
 
 def _check_dims(q, part):

@@ -10,12 +10,14 @@ expectation is computed exactly (full enumeration) at small scale and by
 Monte Carlo otherwise, and in closed form for uniform-correlation and
 block-separable structures.
 
-Every lambda_min of a nonsymmetric product is taken on a symmetric matrix
-similar to it: L^{-1} Q L^{-T} with Q_P = L L^T for a single partitioning,
-and R E R^T with Q = R^T R for an expectation E, so Q is factored once per
-call however many expectations it serves. A single lambda_min comes from a
-subset eigensolve that reads one triangle; the stacked per-partitioning
-distribution keeps one batched full eigensolve.
+Every lambda_min of a nonsymmetric product X Q is taken on the symmetric
+matrix R X R^T similar to it, with Q = R^T R factored once per call however
+many matrices X it serves: X = Q_P^{-1} for each partitioning of a report's
+distribution, and X = E, a mean of Q_P^{-1}, for an expectation. Both come
+from one batched kernel of diagonal-block inverses. A single lambda_min comes
+from a subset eigensolve that reads one triangle; the stacked distribution
+keeps one batched full eigensolve. ``lambda_min_precond`` takes one
+partitioning's lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
 """
 
 import json
@@ -33,10 +35,10 @@ from .partition import (
     DEFAULT_ENUMERATION_CAP,
     BlockCholesky,
     Partitioning,
+    _enumerate_assignments,
     _sample_assignments,
     check_symmetric_matrix,
     diagonal_blocks,
-    enumerate_partitions,
     sample_uniform_partition,  # noqa: F401  (perfbench/test_smoke.py traces it here)
 )
 from .seeding import derive_seed, map_ordered
@@ -91,84 +93,66 @@ def _factor(q, assignments):
         raise InvalidArgumentError("Q is not positive definite") from None
 
 
+def _block_inverses(q, chunk):
+    """Yield (row, where, inverse) per block size for the rows of an assignment chunk.
+
+    Coordinates are ordered by (block size, chunk-wide block id), ascending
+    within a block, so the blocks of each size form one stack that one
+    batched Cholesky of the validated Q factors and inverts. ``inverse``
+    holds those blocks' inverses, ``where`` their flat indices n*i + j, and
+    ``row`` the chunk row of each block. A block that is not positive
+    definite raises the SingularBlockError that BlockCholesky raises for it.
+    """
+    n = q.shape[0]
+    ids = (chunk + n * np.arange(len(chunk))[:, None]).ravel()
+    sizes = np.bincount(ids)[ids]
+    order = np.lexsort((ids, sizes))
+    sizes = sizes[order]
+    for size in np.unique(sizes):
+        flat = order[sizes == size].reshape(-1, size)
+        idx = flat % n
+        where = idx[:, :, None] * n + idx[:, None, :]
+        try:
+            inv_lower = np.linalg.inv(np.linalg.cholesky(q.ravel()[where]))
+        except np.linalg.LinAlgError:
+            _raise_singular_block(q, chunk)
+            raise
+        yield flat[:, 0] // n, where, inv_lower.transpose(0, 2, 1) @ inv_lower
+
+
 def _mean_inverse(q, assignments):
     """Mean of Q_P^{-1} over the rows of an (S, n) assignment array, for a validated Q.
 
-    Per chunk of at most max(n^2, 2^16) stacked entries, the blocks of each
-    size form one stack that one batched Cholesky inverts and one bincount
-    over flat indices n*i + j sums into place. A block that is not positive
-    definite raises the SingularBlockError that BlockCholesky raises for it.
+    Per chunk of at most max(n^2, 2^16) stacked entries, one bincount over
+    the flat indices of ``_block_inverses`` sums the inverses into place.
     """
     n = q.shape[0]
     total = np.zeros(n * n)
     step = _chunk_rows(n, int(np.sum(np.bincount(assignments[0]) ** 2)))
     for start in range(0, len(assignments), step):
-        chunk = assignments[start:start + step]
-        # Coordinates by (block size, chunk-wide block id), ascending within a block.
-        ids = (chunk + n * np.arange(len(chunk))[:, None]).ravel()
-        sizes = np.bincount(ids)[ids]
-        order = np.lexsort((ids, sizes))
-        coords, sizes = order % n, sizes[order]
-        for size in np.unique(sizes):
-            idx = coords[sizes == size].reshape(-1, size)
-            where = idx[:, :, None] * n + idx[:, None, :]
-            try:
-                inv_lower = np.linalg.inv(np.linalg.cholesky(q.ravel()[where]))
-            except np.linalg.LinAlgError:
-                _raise_singular_block(q, chunk)
-                raise
-            inverse = inv_lower.transpose(0, 2, 1) @ inv_lower
+        for _, where, inverse in _block_inverses(q, assignments[start:start + step]):
             total += np.bincount(where.ravel(), inverse.ravel(), minlength=n * n)
     return (total / len(assignments)).reshape(n, n)
 
 
-def _lambda_min_stack(q, assignments):
-    """lambda_min(Q_P^{-1} Q) for each row of an (S, n) assignment array, for a validated Q.
+def _lambda_min_stack(q, upper, assignments):
+    """lambda_min(Q_P^{-1} Q) for each row of an (S, n) assignment array.
 
-    Each row's coordinates are permuted by (block size, block label),
-    ascending within a block, so rows with the same block sizes share one
-    layout of contiguous diagonal blocks. Per layout the permuted matrices
-    form one stack: one batched Cholesky per block size factors Q_P = L L^T,
-    and W = L^{-1} Q L^{-T} = L^{-1} (L^{-1} Q)^T, Q being symmetric, is two
-    passes of L^{-1} over block rows between two buffers. A block that is
-    not positive definite raises the SingularBlockError that BlockCholesky
-    raises for it.
+    Q = R^T R, R = ``upper``. Each row's block inverses fill its own n x n
+    slab X = Q_P^{-1}, and R X R^T, similar to Q_P^{-1} Q, goes to one
+    batched eigensolve.
     """
     rows, n = assignments.shape
-    ids = assignments + n * np.arange(rows)[:, None]
-    sizes = np.bincount(ids.ravel(), minlength=rows * n)[ids]
-    perms = np.argsort(sizes * n + assignments, axis=1, kind="stable")
-    layouts, which = np.unique(np.take_along_axis(sizes, perms, axis=1), axis=0,
-                               return_inverse=True)
-    lam = np.empty(rows)
-    for u, layout in enumerate(layouts):
-        members = np.flatnonzero(which.ravel() == u)
-        perm, m = perms[members], members.size
-        a = q[perm[:, :, None], perm[:, None, :]]
-        b = np.empty_like(a)
-        block_sizes, offsets, widths = np.unique(layout, return_index=True, return_counts=True)
-        spans = [(slice(o, o + w), s, w // s) for s, o, w in zip(block_sizes, offsets, widths)]
-        inv_lowers = []
-        for span, s, count in spans:
-            j = np.arange(count)
-            blocks = a[:, span, span].reshape(m, count, s, count, s)[:, j, :, j, :]
-            try:
-                lower = np.linalg.cholesky(blocks)
-            except np.linalg.LinAlgError:
-                _raise_singular_block(q, assignments)
-                raise
-            inv_lowers.append(np.linalg.inv(lower).swapaxes(0, 1))
-
-        def rows_pass(src, dst):
-            for (span, s, count), inv_lower in zip(spans, inv_lowers):
-                np.matmul(inv_lower, src[:, span].reshape(m, count, s, n),
-                          out=dst[:, span].reshape(m, count, s, n))
-
-        rows_pass(a, b)
-        np.copyto(a, b.transpose(0, 2, 1))
-        rows_pass(a, b)
-        lam[members] = np.linalg.eigvalsh(b)[:, 0]
-    return lam
+    # Every inverse is formed before x is allocated: interleaving the kernel's
+    # temporaries with x fragments the pool threads' heaps (+13 MB peak RSS
+    # at n = 600 on two threads).
+    stacks = list(_block_inverses(q, assignments))
+    x = np.zeros((rows, n * n))
+    for row, where, inverse in stacks:
+        x[row[:, None, None], where] = inverse
+    x = x.reshape(rows, n, n)
+    np.matmul(upper @ x, upper.T, out=x)
+    return np.linalg.eigvalsh(x)[:, 0]
 
 
 def _sample_seeds(n_samples, seed):
@@ -176,11 +160,6 @@ def _sample_seeds(n_samples, seed):
     if n_samples < 1:
         raise InvalidArgumentError("n_samples must be at least 1")
     return [derive_seed(seed, i) for i in range(n_samples)]
-
-
-def _enumerated_assignments(n, k_blocks, cap):
-    """``enumerate_partitions(n, k_blocks, cap)`` as one (S, n) assignment array."""
-    return np.stack([p.assignment for p in enumerate_partitions(n, k_blocks, cap=cap)])
 
 
 def _lambda_mc(q, upper, assignments):
@@ -219,13 +198,13 @@ def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
 def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP):
     """Exact mean of Q_P^{-1} over all equal-size partitionings."""
     q = check_symmetric_matrix(q)
-    return _mean_inverse(q, _enumerated_assignments(q.shape[0], k_blocks, cap))
+    return _mean_inverse(q, _enumerate_assignments(q.shape[0], k_blocks, cap))
 
 
 def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Exact lambda_min(E[Q_P^{-1}] Q) by enumerating all partitionings."""
     q = check_symmetric_matrix(q)
-    assignments = _enumerated_assignments(q.shape[0], k_blocks, cap)
+    assignments = _enumerate_assignments(q.shape[0], k_blocks, cap)
     return lambda_min_of_expected(_mean_inverse(q, assignments), _factor(q, assignments))
 
 
@@ -508,25 +487,30 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     of at most max(n^2, 2^16) matrix entries, on ``threads`` workers. In
     sampled mode it and the Monte Carlo mean each use ``n_samples``
     partitionings from disjoint derived seed streams; in exact mode both
-    use every equal-size partitioning, enumerated once.
+    use every equal-size partitioning, enumerated once. Both halves share one
+    factorization of Q, so Q must be positive definite; a singular diagonal
+    block of the distribution's partitionings is reported before one of the
+    mean's.
     """
     q = check_symmetric_matrix(q)
     n = q.shape[0]
     if exact:
-        assignments = _enumerated_assignments(n, k_blocks, cap)
+        assignments = mean_rows = _enumerate_assignments(n, k_blocks, cap)
         keys = range(len(assignments))
     else:
         keys = _sample_seeds(n_samples, derive_seed(seed, 0))
         assignments = _sample_assignments(n, k_blocks, keys)
+        mean_rows = _sample_assignments(n, k_blocks, _sample_seeds(n_samples, derive_seed(seed, 1)))
+    # A singular block of the distribution takes precedence over one of the mean.
+    upper = _factor(q, assignments if exact else np.concatenate((assignments, mean_rows)))
     step = _chunk_rows(n, n * n)
     chunks = [assignments[lo:lo + step] for lo in range(0, len(assignments), step)]
-    values = np.concatenate(list(map_ordered(lambda c: _lambda_min_stack(q, c), chunks, threads)))
+    values = np.concatenate(list(map_ordered(lambda c: _lambda_min_stack(q, upper, c), chunks,
+                                             threads)))
     samples = [SpectralSample(key, lam) for key, lam in zip(keys, values.tolist())]
     if exact:
-        upper = _factor(q, assignments)
-        value, stderr = lambda_min_of_expected(_mean_inverse(q, assignments), upper), None
+        value, stderr = lambda_min_of_expected(_mean_inverse(q, mean_rows), upper), None
     else:
-        mean_rows = _sample_assignments(n, k_blocks, _sample_seeds(n_samples, derive_seed(seed, 1)))
-        value, stderr = _lambda_mc(q, _factor(q, mean_rows), mean_rows)
+        value, stderr = _lambda_mc(q, upper, mean_rows)
     return SpectralReport(n, k_blocks, samples, value, "exact" if exact else "mc",
                           len(samples), stderr, closed_form)

@@ -169,6 +169,18 @@ class TestSpectral:
         assert err == "blockprec: invalid arguments: Q is not positive definite\n"
         assert not (tmp_path / "rep.json").exists()
 
+    def test_singular_block_of_the_mean_exit_3(self, tmp_path, capsys):
+        # the one distribution partitioning keeps coordinates 0 and 1 apart, the mean's joins them
+        save_q(tmp_path / "indef.q", indefinite_q(), {"kind": "custom"})
+        capsys.readouterr()
+        code = run_cli("spectral", "--q", tmp_path / "indef.q", "--k", 2, "--samples", 1,
+                       "--seed", 0, "--out", tmp_path / "rep")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("blockprec: numerical failure: block 1 (size 3) is not positive "
+                       "definite; consider a positive jitter\n")
+        assert not (tmp_path / "rep.json").exists()
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_exit_2(self, tmp_path, capsys, samples):
         qfile = tmp_path / "u"

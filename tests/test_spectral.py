@@ -292,8 +292,7 @@ class TestRates:
         assert sparse_rho == pytest.approx(rho, rel=1e-12)
 
     def test_glm_real_dataset_baseline(self):
-        # regression baseline, first computed by this implementation: only
-        # runs when the real dataset file is available locally
+        # only runs when the real dataset file is available locally
         import os
         from pathlib import Path
         root = Path(os.environ.get("BLOCKPREC_DATASETS",
@@ -308,7 +307,11 @@ class TestRates:
                  for i in range(200)]
         rho = rate_glm(ds.a, 1.0, 1.0, parts, lambda_shift=1.0)
         print(f"mushroom rate baseline (K=5, shift=1): {rho!r}")
-        assert np.isfinite(rho) and rho > 0.0
+        # one-hot columns can make A^T A rank-deficient, and then the rate is exactly 0
+        a = scipy.sparse.csr_matrix(ds.a)
+        gram = (a.T @ a).toarray()
+        assert np.isfinite(rho) and rho >= 0.0
+        assert (rho == 0.0) == (np.linalg.matrix_rank(gram) < ds.n_features)
 
     @pytest.mark.parametrize("parts", [
         [], (), None, 3, sample_uniform_partition(4, 2, 0),
@@ -643,13 +646,17 @@ class TestStackedDistribution:
         for i in (0, 454, 455, 2888, 5774):
             assert got[i] == pytest.approx(lambda_min_generalized(q, parts[i]), abs=1e-12)
 
-    def test_mixed_block_sizes_share_one_stack(self):
-        # rows with different block sizes form separate layouts of one call
+    def test_mixed_block_sizes_in_one_chunk(self):
+        # K does not divide n, and rows with different block sizes share one call
         q = random_spd(7, np.random.default_rng(8))
         rows = np.array([[0, 0, 0, 1, 1, 1, 1], [1, 0, 1, 0, 1, 0, 1], [0, 1, 1, 1, 1, 1, 1],
                          [1, 1, 1, 1, 1, 1, 0], [1, 1, 0, 0, 1, 1, 0], [0, 1, 0, 1, 0, 1, 1]])
-        want = [lambda_min_precond(q, Partitioning(row, 2)) for row in rows]
-        np.testing.assert_allclose(_lambda_min_stack(q, rows), want, rtol=0, atol=1e-12)
+        got = _lambda_min_stack(q, scipy.linalg.cholesky(q, lower=False), rows)
+        parts = [Partitioning(row, 2) for row in rows]
+        np.testing.assert_allclose(got, [lambda_min_precond(q, p) for p in parts],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, [lambda_min_generalized(q, p) for p in parts],
+                                   rtol=0, atol=1e-12)
 
     def test_threads_give_equal_values(self):
         q = random_spd(40, np.random.default_rng(6))
@@ -678,6 +685,38 @@ class TestStackedDistribution:
             build_report(q, 2, n_samples=20, seed=7, exact=exact)
         assert got.value.block == direct.block
         assert str(got.value) == str(direct)
+
+    def test_singular_block_of_the_mean_after_the_distribution(self):
+        # the one distribution partitioning keeps coordinates 0 and 1 apart, the mean's joins them
+        q = np.eye(6)
+        q[0, 1] = q[1, 0] = 2.0
+        spread = sample_uniform_partition(6, 2, derive_seed(derive_seed(0, 0), 0))
+        joined = sample_uniform_partition(6, 2, derive_seed(derive_seed(0, 1), 0))
+        assert spread.assignment[0] != spread.assignment[1]
+        assert joined.assignment[0] == joined.assignment[1]
+        BlockCholesky(diagonal_blocks(q, spread), spread)
+        with pytest.raises(SingularBlockError) as direct:
+            BlockCholesky(diagonal_blocks(q, joined), joined)
+        with pytest.raises(SingularBlockError) as got:
+            build_report(q, 2, n_samples=1, seed=0)
+        assert got.value.block == direct.value.block == 1
+        assert str(got.value) == str(direct.value)
+
+    def test_singular_block_of_the_distribution_before_the_mean(self):
+        # K does not divide n: the distribution joins coordinates 0 and 1 in block 0 of
+        # size 3, the mean in block 1 of size 2
+        q = np.eye(5)
+        q[0, 1] = q[1, 0] = 2.0
+        first = sample_uniform_partition(5, 2, derive_seed(derive_seed(138, 0), 0))
+        joined = sample_uniform_partition(5, 2, derive_seed(derive_seed(138, 1), 0))
+        assert first.assignment[0] == first.assignment[1] != joined.assignment[0]
+        assert joined.assignment[0] == joined.assignment[1]
+        with pytest.raises(SingularBlockError) as direct:
+            BlockCholesky(diagonal_blocks(q, first), first)
+        with pytest.raises(SingularBlockError) as got:
+            build_report(q, 2, n_samples=1, seed=138)
+        assert got.value.block == direct.value.block == 0
+        assert str(got.value) == str(direct.value)
 
     @pytest.mark.parametrize("n_samples", [0, -3])
     def test_no_samples_rejected(self, n_samples):
