@@ -15,8 +15,12 @@ matrix R X R^T similar to it, with Q = R^T R factored once per call however
 many matrices X it serves: X = Q_P^{-1} for each partitioning of a report's
 distribution, and X = E, a mean of Q_P^{-1}, for an expectation. Both come
 from one batched kernel of diagonal-block inverses. A single lambda_min comes
-from a subset eigensolve that reads one triangle; the stacked distribution
-keeps one batched full eigensolve. ``lambda_min_precond`` takes one
+from a subset eigensolve that reads one triangle. The distribution's chunks
+take one of two paths, chosen by the chunk size alone: a chunk of several
+partitionings (n < 182) keeps one batched full eigensolve, while a chunk of
+one (n >= 182) takes its lambda_min as 1/theta_max of R^{-T} Q_P R^{-1} by
+Lanczos, from products with R^{-1} and Q_P and no n x n slab, since forming
+R X R^T alone costs 4n^3 flops there. ``lambda_min_precond`` takes one
 partitioning's lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
 """
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmm, dtrsv
 
 from .errors import InvalidArgumentError, SingularBlockError, UnsupportedLossError
 from .objectives import gram_matrix
@@ -140,12 +144,13 @@ def _lambda_min_stack(q, upper, assignments):
 
     Q = R^T R, R = ``upper``. Each row's block inverses fill its own n x n
     slab X = Q_P^{-1}, and R X R^T, similar to Q_P^{-1} Q, goes to one
-    batched eigensolve.
+    batched eigensolve. ``build_report`` sends it chunks of several rows,
+    and ``_lambda_min_lanczos`` the rows ARPACK fails on.
     """
     rows, n = assignments.shape
     # Every inverse is formed before x is allocated: interleaving the kernel's
     # temporaries with x fragments the pool threads' heaps (+13 MB peak RSS
-    # at n = 600 on two threads).
+    # at n = 600 on two threads, which only a Lanczos fallback now reaches).
     stacks = list(_block_inverses(q, assignments))
     x = np.zeros((rows, n * n))
     for row, where, inverse in stacks:
@@ -153,6 +158,37 @@ def _lambda_min_stack(q, upper, assignments):
     x = x.reshape(rows, n, n)
     np.matmul(upper @ x, upper.T, out=x)
     return np.linalg.eigvalsh(x)[:, 0]
+
+
+def _lambda_min_lanczos(q, upper, assignments):
+    """lambda_min(Q_P^{-1} Q) for a (1, n) assignment array, by Lanczos.
+
+    With Q = R^T R, R = ``upper``, M = R^{-T} Q_P R^{-1} is similar to
+    Q^{-1} Q_P = (Q_P^{-1} Q)^{-1}, so lambda_min is 1/theta_max(M). ARPACK
+    finds theta_max from products v -> R^{-T} (Q_P (R^{-1} v)): two
+    triangular solves and one product with Q_P, masked from Q. The start
+    vector is one fixed random draw, not a structured vector that a
+    symmetry of Q could make orthogonal to the top eigenvector, and the
+    restart generator is seeded, so the value depends on the row alone. A
+    row ARPACK fails on goes to ``_lambda_min_stack``.
+    """
+    # Imported here: it adds about 20 ms to every CLI start, and n < 182 never uses it.
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    (row,) = assignments
+    n = len(row)
+    masked = np.where(row[:, None] == row, q, 0.0)
+
+    def matvec(v):
+        return dtrsv(upper, masked @ dtrsv(upper, v), trans=1, overwrite_x=1)
+
+    try:
+        theta = eigsh(LinearOperator((n, n), matvec, dtype=float), k=1, which="LA", tol=1e-13,
+                      v0=np.random.default_rng(0).standard_normal(n),
+                      return_eigenvectors=False, rng=0)
+    except ArpackError:  # includes ArpackNoConvergence
+        return _lambda_min_stack(q, upper, assignments)
+    return 1.0 / theta
 
 
 def _sample_seeds(n_samples, seed):
@@ -177,6 +213,9 @@ def _lambda_mc(q, upper, assignments):
         mean = _mean_inverse(q, assignments[lo:hi])
         batch_values.append(lambda_min_of_expected(mean, upper))
         total += (hi - lo) * mean
+        # Not held through the next batch's kernel: that would set the report's
+        # peak RSS at large n (+2.9 MB at n = 600).
+        del mean
     if len(batch_values) < 2:
         return batch_values[0], 0.0
     stderr = float(np.std(batch_values, ddof=1) / np.sqrt(len(batch_values)))
@@ -483,8 +522,13 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
                  cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1) -> SpectralReport:
     """Sample the eigenvalue distribution and estimate the repartitioning value.
 
-    The distribution of lambda_min(Q_P^{-1} Q) is computed in stacked chunks
-    of at most max(n^2, 2^16) matrix entries, on ``threads`` workers. In
+    The distribution of lambda_min(Q_P^{-1} Q) is computed in chunks of at
+    most max(n^2, 2^16) stacked matrix entries, on ``threads`` workers. A
+    chunk of several partitionings (n < 182) goes to the batched eigensolve
+    of ``_lambda_min_stack``. From n = 182 on a chunk holds one partitioning,
+    and ``_lambda_min_lanczos`` takes it from O(n^2)-flop products instead
+    of the 4n^3 flops of R X R^T and a full eigensolve. ARPACK's loop holds
+    the GIL, so on the pool only those chunks' products overlap. In
     sampled mode it and the Monte Carlo mean each use ``n_samples``
     partitionings from disjoint derived seed streams; in exact mode both
     use every equal-size partitioning, enumerated once. Both halves share one
@@ -504,9 +548,9 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     # A singular block of the distribution takes precedence over one of the mean.
     upper = _factor(q, assignments if exact else np.concatenate((assignments, mean_rows)))
     step = _chunk_rows(n, n * n)
+    kernel = _lambda_min_stack if step > 1 else _lambda_min_lanczos
     chunks = [assignments[lo:lo + step] for lo in range(0, len(assignments), step)]
-    values = np.concatenate(list(map_ordered(lambda c: _lambda_min_stack(q, upper, c), chunks,
-                                             threads)))
+    values = np.concatenate(list(map_ordered(lambda c: kernel(q, upper, c), chunks, threads)))
     samples = [SpectralSample(key, lam) for key, lam in zip(keys, values.tolist())]
     if exact:
         value, stderr = lambda_min_of_expected(_mean_inverse(q, mean_rows), upper), None

@@ -16,9 +16,9 @@ from blockprec.cli import main
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
-def indefinite_q():
+def indefinite_q(n=6):
     """Symmetric and indefinite, with every diagonal entry positive."""
-    q = np.eye(6)
+    q = np.eye(n)
     q[0, 1] = q[1, 0] = 2.0
     return q
 
@@ -159,15 +159,17 @@ class TestSpectral:
 
     @pytest.mark.parametrize("mode", [["--exact"], ["--samples", 20]])
     def test_q_not_positive_definite_exit_2(self, tmp_path, capsys, mode):
-        # every 1x1 block is positive definite, Q itself is indefinite
-        save_q(tmp_path / "indef.q", indefinite_q(), {"kind": "custom"})
-        capsys.readouterr()
-        code = run_cli("spectral", "--q", tmp_path / "indef.q", "--k", 6, *mode,
-                       "--seed", 0, "--out", tmp_path / "rep")
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == "blockprec: invalid arguments: Q is not positive definite\n"
-        assert not (tmp_path / "rep.json").exists()
+        # every 1x1 block is positive definite, Q itself is indefinite; n = 200
+        # would take its distribution by Lanczos, after Q's factorization
+        for n in (6, 200):
+            save_q(tmp_path / "indef.q", indefinite_q(n), {"kind": "custom"})
+            capsys.readouterr()
+            code = run_cli("spectral", "--q", tmp_path / "indef.q", "--k", n, *mode,
+                           "--seed", 0, "--out", tmp_path / "rep")
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == "blockprec: invalid arguments: Q is not positive definite\n"
+            assert not (tmp_path / "rep.json").exists()
 
     def test_singular_block_of_the_mean_exit_3(self, tmp_path, capsys):
         # the one distribution partitioning keeps coordinates 0 and 1 apart, the mean's joins them
@@ -214,18 +216,38 @@ class TestSpectral:
                        "--out", tmp_path / "rep") == 4
 
     def test_rerun_identical_bytes(self, tmp_path):
+        # stacked chunks at n = 16, one-row (Lanczos) chunks at n = 200
+        for n, samples in ((16, 30), (200, 8)):
+            qfile = tmp_path / f"u{n}"
+            run_cli("gen", "--kind", "uniform", "--n", n, "--alpha", 0.25,
+                    "--seed", 0, "--out", qfile)
+            blobs = []
+            for name in (f"one{n}", f"two{n}"):
+                out = tmp_path / name
+                assert run_cli("spectral", "--q", str(qfile) + ".q", "--k", 4,
+                               "--samples", samples, "--seed", 6, "--out", out) == 0
+                blobs.append((out.with_suffix(".json").read_bytes(),
+                              (tmp_path / f"{name}_samples.csv").read_text()
+                              .split("\n", 1)[1]))
+            assert blobs[0] == blobs[1]
+
+    def test_arpack_failure_exit_0(self, tmp_path, capsys, monkeypatch):
+        import scipy.sparse.linalg
+
+        def failing_eigsh(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0),
+                                                          np.empty(0))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         qfile = tmp_path / "u"
-        run_cli("gen", "--kind", "uniform", "--n", 16, "--alpha", 0.25,
+        run_cli("gen", "--kind", "randomcorr", "--n", 200, "--alpha", 0.05,
                 "--seed", 0, "--out", qfile)
-        blobs = []
-        for name in ("one", "two"):
-            out = tmp_path / name
-            assert run_cli("spectral", "--q", str(qfile) + ".q", "--k", 4,
-                           "--samples", 30, "--seed", 6, "--out", out) == 0
-            blobs.append((out.with_suffix(".json").read_bytes(),
-                          (tmp_path / f"{name}_samples.csv").read_text()
-                          .split("\n", 1)[1]))
-        assert blobs[0] == blobs[1]
+        capsys.readouterr()
+        assert run_cli("spectral", "--q", str(qfile) + ".q", "--k", 4, "--samples", 3,
+                       "--seed", 1, "--out", tmp_path / "rep") == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert len(report["samples"]) == 3
 
     def test_normalize_flag(self, tmp_path):
         ds = tmp_path / "toy.libsvm"

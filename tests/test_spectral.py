@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from blockprec import (
     enumerate_partitions,
     expected_lambda_exact,
     expected_lambda_mc,
+    gen_random_corr_q,
     gen_separable_q,
     gen_uniform_q,
     lambda_min_precond,
@@ -659,12 +661,14 @@ class TestStackedDistribution:
                                    rtol=0, atol=1e-12)
 
     def test_threads_give_equal_values(self):
-        q = random_spd(40, np.random.default_rng(6))
-        a = build_report(q, 4, n_samples=200, seed=2, threads=1)  # chunks of 40 rows
-        b = build_report(q, 4, n_samples=200, seed=2, threads=2)
-        assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
-        assert [s.key for s in a.samples] == [s.key for s in b.samples]
-        assert a.lambda_min_expected == b.lambda_min_expected and a.stderr == b.stderr
+        # chunks of 40 rows at n = 40; one-row (Lanczos) chunks at n = 200
+        for n, samples in ((40, 200), (200, 12)):
+            q = random_spd(n, np.random.default_rng(6))
+            a = build_report(q, 4, n_samples=samples, seed=2, threads=1)
+            b = build_report(q, 4, n_samples=samples, seed=2, threads=2)
+            assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
+            assert [s.key for s in a.samples] == [s.key for s in b.samples]
+            assert a.lambda_min_expected == b.lambda_min_expected and a.stderr == b.stderr
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_singular_block_named_as_block_cholesky_names_it(self, exact):
@@ -722,3 +726,52 @@ class TestStackedDistribution:
     def test_no_samples_rejected(self, n_samples):
         with pytest.raises(InvalidArgumentError, match="n_samples must be at least 1"):
             build_report(np.eye(4), 2, n_samples=n_samples)
+
+
+class TestLanczosDistribution:
+    """From n = 182 on, build_report takes each lambda_min(Q_P^{-1} Q) by Lanczos."""
+
+    @pytest.mark.parametrize("kind", ["spd", "corr"])
+    @pytest.mark.parametrize("k", [1, 2, 8, "n"])
+    @pytest.mark.parametrize("n", [200, 201, 256])
+    def test_matches_per_partitioning_oracles(self, n, k, kind):
+        k = n if k == "n" else k
+        if kind == "spd":
+            q = random_spd(n, np.random.default_rng(n))
+        else:
+            q = gen_random_corr_q(n, 0.05, n)
+        report = build_report(q, k, n_samples=3, seed=n + k)
+        for s in report.samples:
+            part = sample_uniform_partition(n, k, s.key)
+            assert s.lambda_min == pytest.approx(lambda_min_generalized(q, part), rel=1e-10)
+            assert s.lambda_min == pytest.approx(lambda_min_precond(q, part), rel=1e-10)
+
+    @pytest.mark.parametrize("n, k", [(200, 1), (200, 2), (200, 8), (200, 200), (201, 1),
+                                      (201, 201), (256, 2), (256, 8), (256, 256)])
+    def test_uniform_matches_closed_form(self, n, k):
+        report = build_report(gen_uniform_q(n, 0.3), k, n_samples=3, seed=1)
+        want = uniform_closed_form(n, k, 0.3).lambda_static
+        for s in report.samples:
+            assert s.lambda_min == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("error", [
+        scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty(0)),
+        scipy.sparse.linalg.ArpackError(-9999)])
+    def test_arpack_failure_falls_back_to_the_stack(self, monkeypatch, error):
+        calls = []
+
+        def failing_eigsh(*args, **kwargs):
+            calls.append(1)
+            raise error
+
+        q = random_spd(200, np.random.default_rng(3))
+        want = build_report(q, 5, n_samples=4, seed=8)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
+        got = build_report(q, 5, n_samples=4, seed=8)
+        assert len(calls) == 4
+        rows = np.stack([sample_uniform_partition(200, 5, s.key).assignment for s in got.samples])
+        stack = _lambda_min_stack(q, scipy.linalg.cholesky(q, lower=False), rows)
+        np.testing.assert_allclose([s.lambda_min for s in got.samples], stack, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([s.lambda_min for s in got.samples],
+                                   [s.lambda_min for s in want.samples], rtol=1e-10)
+        assert got.lambda_min_expected == want.lambda_min_expected and got.stderr == want.stderr
