@@ -15,13 +15,15 @@ matrix R X R^T similar to it, with Q = R^T R factored once per call however
 many matrices X it serves: X = Q_P^{-1} for each partitioning of a report's
 distribution, and X = E, a mean of Q_P^{-1}, for an expectation. Both come
 from one batched kernel of diagonal-block inverses. A single lambda_min comes
-from a subset eigensolve that reads one triangle. The distribution's chunks
-take one of two paths, chosen by the chunk size alone: a chunk of several
-partitionings (n < 182) keeps one batched full eigensolve, while a chunk of
-one (n >= 182) takes its lambda_min as 1/theta_max of R^{-T} Q_P R^{-1} by
-Lanczos, from products with R^{-1} and Q_P and no n x n slab, since forming
-R X R^T alone costs 4n^3 flops there. ``lambda_min_precond`` takes one
-partitioning's lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
+from a subset eigensolve that reads one triangle; a Monte Carlo estimate
+takes one, and its standard error one batched solve per stack of the same
+diagonal blocks. The distribution's chunks take one of two paths, chosen by
+the chunk size alone: a chunk of several partitionings (n < 182) keeps one
+batched full eigensolve, while a chunk of one (n >= 182) takes its
+lambda_min as 1/theta_max of R^{-T} Q_P R^{-1} by Lanczos, from products
+with R^{-1} and Q_P and no n x n slab, since forming R X R^T alone costs
+4n^3 flops there. ``lambda_min_precond`` takes one partitioning's
+lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
 """
 
 import json
@@ -47,8 +49,6 @@ from .partition import (
 )
 from .seeding import derive_seed, map_ordered
 
-N_BATCHES = 10
-
 
 def _min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a matrix symmetric up to roundoff, read from its lower triangle."""
@@ -64,11 +64,14 @@ def lambda_min_precond(q, part: Partitioning) -> float:
 def lambda_min_of_expected(expected_inverse, upper) -> float:
     """Smallest eigenvalue of E Q given a mean-of-inverses E and Q = R^T R, R = ``upper``.
 
-    R E R^T = R (E Q) R^{-1} is similar to E Q and symmetric up to roundoff;
-    it takes two triangular products.
+    R E R^T = R (E Q) R^{-1} is similar to E Q and symmetric up to roundoff.
     """
-    left = dtrmm(1.0, upper, expected_inverse)
-    return _min_eigenvalue(dtrmm(1.0, upper, left, side=1, trans_a=1, overwrite_b=1))
+    return _min_eigenvalue(_congruence(expected_inverse, upper))
+
+
+def _congruence(x, upper):
+    """R X R^T for R = ``upper``, by two triangular products."""
+    return dtrmm(1.0, upper, dtrmm(1.0, upper, x), side=1, trans_a=1, overwrite_b=1)
 
 
 def _chunk_rows(n, entries_per_row):
@@ -97,45 +100,59 @@ def _factor(q, assignments):
         raise InvalidArgumentError("Q is not positive definite") from None
 
 
-def _block_inverses(q, chunk):
-    """Yield (row, where, inverse) per block size for the rows of an assignment chunk.
+def _block_stacks(q, assignments):
+    """Yield (row, idx, where) per chunk and block size for an assignment array.
 
-    Coordinates are ordered by (block size, chunk-wide block id), ascending
-    within a block, so the blocks of each size form one stack that one
-    batched Cholesky of the validated Q factors and inverts. ``inverse``
-    holds those blocks' inverses, ``where`` their flat indices n*i + j, and
-    ``row`` the chunk row of each block. A block that is not positive
-    definite raises the SingularBlockError that BlockCholesky raises for it.
+    Rows are taken in chunks of at most max(n^2, 2^16) stacked entries.
+    Within a chunk, coordinates are ordered by (block size, chunk-wide block
+    id), ascending within a block, so the blocks of each size form one stack:
+    ``idx`` holds their coordinates, ``where`` the flat indices n*i + j at
+    which ``q.ravel()`` gathers them, and ``row`` the row of ``assignments``
+    each block belongs to.
     """
     n = q.shape[0]
-    ids = (chunk + n * np.arange(len(chunk))[:, None]).ravel()
-    sizes = np.bincount(ids)[ids]
-    order = np.lexsort((ids, sizes))
-    sizes = sizes[order]
-    for size in np.unique(sizes):
-        flat = order[sizes == size].reshape(-1, size)
-        idx = flat % n
-        where = idx[:, :, None] * n + idx[:, None, :]
+    step = _chunk_rows(n, int(np.sum(np.bincount(assignments[0]) ** 2)))
+    for start in range(0, len(assignments), step):
+        chunk = assignments[start:start + step]
+        ids = (chunk + n * np.arange(len(chunk))[:, None]).ravel()
+        sizes = np.bincount(ids)[ids]
+        order = np.lexsort((ids, sizes))
+        sizes = sizes[order]
+        for size in np.unique(sizes):
+            flat = order[sizes == size].reshape(-1, size)
+            idx = flat % n
+            where = idx[:, :, None] * n + idx[:, None, :]
+            yield start + flat[:, 0] // n, idx, where
+
+
+def _block_inverses(q, assignments):
+    """Yield (row, where, inverse) per stack of ``_block_stacks``, for a validated Q.
+
+    One batched Cholesky factors and inverts each gathered stack; ``inverse``
+    holds its blocks' inverses. A block that is not positive definite raises
+    the SingularBlockError that BlockCholesky raises for it.
+    """
+    for row, _, where in _block_stacks(q, assignments):
         try:
             inv_lower = np.linalg.inv(np.linalg.cholesky(q.ravel()[where]))
         except np.linalg.LinAlgError:
-            _raise_singular_block(q, chunk)
+            _raise_singular_block(q, assignments)
             raise
-        yield flat[:, 0] // n, where, inv_lower.transpose(0, 2, 1) @ inv_lower
+        yield row, where, inv_lower.transpose(0, 2, 1) @ inv_lower
+        # Not held through the next stack: +2.8 MB of peak RSS at n = 600.
+        del inv_lower
 
 
 def _mean_inverse(q, assignments):
     """Mean of Q_P^{-1} over the rows of an (S, n) assignment array, for a validated Q.
 
-    Per chunk of at most max(n^2, 2^16) stacked entries, one bincount over
-    the flat indices of ``_block_inverses`` sums the inverses into place.
+    One bincount per stack over the flat indices of ``_block_inverses`` sums
+    the inverses into place.
     """
     n = q.shape[0]
     total = np.zeros(n * n)
-    step = _chunk_rows(n, int(np.sum(np.bincount(assignments[0]) ** 2)))
-    for start in range(0, len(assignments), step):
-        for _, where, inverse in _block_inverses(q, assignments[start:start + step]):
-            total += np.bincount(where.ravel(), inverse.ravel(), minlength=n * n)
+    for _, where, inverse in _block_inverses(q, assignments):
+        total += np.bincount(where.ravel(), inverse.ravel(), minlength=n * n)
     return (total / len(assignments)).reshape(n, n)
 
 
@@ -199,35 +216,32 @@ def _sample_seeds(n_samples, seed):
 
 
 def _lambda_mc(q, upper, assignments):
-    """(lambda_min(E Q), batch-means stderr) for the mean E over the rows of ``assignments``.
+    """(lambda_min(E Q), delta-method stderr) for the mean E over the rows of ``assignments``.
 
-    The estimate is lambda_min of the full mean; the standard error comes
-    from the spread of the same statistic over 10 batches of rows, each
-    batch mean streamed into the full one. Q = R^T R, R = ``upper``.
+    Q = R^T R, R = ``upper``. With v the unit eigenvector of R E R^T at the
+    estimate and u = R^T v, the per-row Rayleigh quotients
+    s_i = u^T Q_{P_i}^{-1} u average to the estimate, which moves as their
+    mean to first order in the sampling error of E; the stderr is std(s)/sqrt(S).
     """
-    n_samples = len(assignments)
-    bounds = np.linspace(0, n_samples, min(N_BATCHES, n_samples) + 1).astype(int)
-    total = np.zeros_like(q)
-    batch_values = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        mean = _mean_inverse(q, assignments[lo:hi])
-        batch_values.append(lambda_min_of_expected(mean, upper))
-        total += (hi - lo) * mean
-        # Not held through the next batch's kernel: that would set the report's
-        # peak RSS at large n (+2.9 MB at n = 600).
-        del mean
-    if len(batch_values) < 2:
-        return batch_values[0], 0.0
-    stderr = float(np.std(batch_values, ddof=1) / np.sqrt(len(batch_values)))
-    return lambda_min_of_expected(total / n_samples, upper), stderr
+    (value,), v = scipy.linalg.eigh(_congruence(_mean_inverse(q, assignments), upper),
+                                    subset_by_index=[0, 0], check_finite=False)
+    u = upper.T @ v[:, 0]
+    s = np.zeros(len(assignments))
+    for row, idx, where in _block_stacks(q, assignments):
+        ub = u[idx][:, :, None]
+        s += np.bincount(row, np.sum(ub * np.linalg.solve(q.ravel()[where], ub), axis=(1, 2)),
+                         minlength=len(s))
+    stderr = float(np.std(s, ddof=1) / np.sqrt(len(s))) if len(s) > 1 else 0.0
+    return float(value), stderr
 
 
 def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
     """Monte Carlo estimate of lambda_min(E[Q_P^{-1}] Q) with standard error.
 
-    Returns (estimate, stderr): lambda_min for the mean of sampled block
-    inverses, and the batch-means standard error over 10 sample batches.
-    Q must be positive definite. Deterministic given the seed.
+    Returns (estimate, stderr): the plug-in lambda_min for the mean of the
+    sampled block inverses and its delta-method standard error (0.0 for one
+    sample), which measures spread only, not the low bias of lambda_min of a
+    mean. Q must be positive definite. Deterministic given the seed.
     """
     q = check_symmetric_matrix(q)
     assignments = _sample_assignments(q.shape[0], k_blocks, _sample_seeds(n_samples, seed))
@@ -465,7 +479,9 @@ class SpectralReport:
 
     ``samples`` holds lambda_min(Q_P^{-1} Q) across partitionings;
     ``lambda_min_expected`` is lambda_min(E[Q_P^{-1}] Q) with estimator
-    metadata. rho values are the corresponding rate constants lambda / K.
+    metadata: in sampled mode the plug-in value with its delta-method
+    ``stderr``, which measures spread only, not the low bias of lambda_min of
+    a mean. rho values are the corresponding rate constants lambda / K.
     """
 
     n: int
