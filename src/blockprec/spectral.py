@@ -14,26 +14,30 @@ Every lambda_min of a nonsymmetric product X Q is taken on the symmetric
 matrix R X R^T similar to it, with Q = R^T R factored once per call however
 many matrices X it serves: X = Q_P^{-1} for each partitioning of a report's
 distribution, and X = E, a mean of Q_P^{-1}, for an expectation. Both come
-from one batched kernel of diagonal-block inverses. A single lambda_min comes
-from a subset eigensolve that reads one triangle; a Monte Carlo estimate
-takes one, and its standard error one batched solve per stack of the same
-diagonal blocks. The distribution's chunks take one of two paths, chosen by
-the chunk size alone: a chunk of several partitionings (n < 182) keeps one
-batched full eigensolve, while a chunk of one (n >= 182) takes its
-lambda_min as 1/theta_max of R^{-T} Q_P R^{-1} by Lanczos, from products
-with R^{-1} and Q_P and no n x n slab, since forming R X R^T alone costs
-4n^3 flops there. ``lambda_min_precond`` takes one partitioning's
+from one kernel of diagonal-block inverses: a batched Cholesky per stack of
+same-size blocks, then a triangular inverse per block. A single lambda_min
+comes from a subset eigensolve that reads one triangle; a Monte Carlo
+estimate takes one, and its standard error one batched solve per stack of
+the same diagonal blocks. A report runs its mean as one more task on the
+pool of its distribution's chunks. Those chunks take one of two paths,
+chosen by the chunk size alone: a chunk of several partitionings (n < 182)
+keeps one batched full eigensolve, while a chunk of one (n >= 182) takes
+its lambda_min as 1/theta_max of R^{-T} Q_P R^{-1} by Lanczos, from
+products with R^{-1} and Q_P and no n x n slab, since forming R X R^T alone
+costs 4n^3 flops there. ``lambda_min_precond`` takes one partitioning's
 lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
 """
 
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 from scipy.linalg.blas import dtrmm, dtrsv
+from scipy.linalg.lapack import dtrtri
 
 from .errors import InvalidArgumentError, SingularBlockError, UnsupportedLossError
 from .objectives import gram_matrix
@@ -128,13 +132,20 @@ def _block_stacks(q, assignments):
 def _block_inverses(q, assignments):
     """Yield (row, where, inverse) per stack of ``_block_stacks``, for a validated Q.
 
-    One batched Cholesky factors and inverts each gathered stack; ``inverse``
-    holds its blocks' inverses. A block that is not positive definite raises
-    the SingularBlockError that BlockCholesky raises for it.
+    One batched Cholesky factors each gathered stack, B = L L^T, and LAPACK's
+    triangular inverse ``dtrtri`` turns each factor into W = L^{-1} in place,
+    one block at a time; ``inverse`` holds the blocks' inverses W^T W. A block
+    that is not positive definite raises the SingularBlockError that
+    BlockCholesky raises for it.
     """
     for row, _, where in _block_stacks(q, assignments):
         try:
-            inv_lower = np.linalg.inv(np.linalg.cholesky(q.ravel()[where]))
+            inv_lower = np.linalg.cholesky(q.ravel()[where])
+            # A C-ordered L is the Fortran-ordered upper factor L^T, which dtrtri
+            # inverts in place; dtrtri(lower=1) on L would copy each block in and out.
+            for factor in inv_lower:
+                if dtrtri(factor.T, lower=0, overwrite_c=1)[1]:
+                    raise np.linalg.LinAlgError("singular triangular factor")
         except np.linalg.LinAlgError:
             _raise_singular_block(q, assignments)
             raise
@@ -543,14 +554,17 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     chunk of several partitionings (n < 182) goes to the batched eigensolve
     of ``_lambda_min_stack``. From n = 182 on a chunk holds one partitioning,
     and ``_lambda_min_lanczos`` takes it from O(n^2)-flop products instead
-    of the 4n^3 flops of R X R^T and a full eigensolve. ARPACK's loop holds
-    the GIL, so on the pool only those chunks' products overlap. In
-    sampled mode it and the Monte Carlo mean each use ``n_samples``
-    partitionings from disjoint derived seed streams; in exact mode both
-    use every equal-size partitioning, enumerated once. Both halves share one
-    factorization of Q, so Q must be positive definite; a singular diagonal
-    block of the distribution's partitionings is reported before one of the
-    mean's.
+    of the 4n^3 flops of R X R^T and a full eigensolve. The mean,
+    lambda_min(E Q), is one more task on the same pool, ahead of the first
+    chunk, so with two or more threads it runs beside the distribution. In
+    sampled mode the distribution and the Monte Carlo mean each use
+    ``n_samples`` partitionings from disjoint derived seed streams; in exact
+    mode both use every equal-size partitioning, enumerated once. Both halves
+    share one factorization of Q, taken before either starts, so Q must be
+    positive definite; if it is not, a singular diagonal block of the
+    distribution's partitionings is reported before one of the mean's. If
+    both halves raise after that factorization, the mean's error surfaces,
+    for any thread count.
     """
     q = check_symmetric_matrix(q)
     n = q.shape[0]
@@ -563,14 +577,18 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
         mean_rows = _sample_assignments(n, k_blocks, _sample_seeds(n_samples, derive_seed(seed, 1)))
     # A singular block of the distribution takes precedence over one of the mean.
     upper = _factor(q, assignments if exact else np.concatenate((assignments, mean_rows)))
+
+    def mean():
+        if exact:
+            return lambda_min_of_expected(_mean_inverse(q, mean_rows), upper), None
+        return _lambda_mc(q, upper, mean_rows)
+
     step = _chunk_rows(n, n * n)
     kernel = _lambda_min_stack if step > 1 else _lambda_min_lanczos
-    chunks = [assignments[lo:lo + step] for lo in range(0, len(assignments), step)]
-    values = np.concatenate(list(map_ordered(lambda c: kernel(q, upper, c), chunks, threads)))
-    samples = [SpectralSample(key, lam) for key, lam in zip(keys, values.tolist())]
-    if exact:
-        value, stderr = lambda_min_of_expected(_mean_inverse(q, mean_rows), upper), None
-    else:
-        value, stderr = _lambda_mc(q, upper, mean_rows)
+    chunks = [partial(kernel, q, upper, assignments[lo:lo + step])
+              for lo in range(0, len(assignments), step)]
+    # The mean goes first, so the pool starts it beside the first chunk.
+    (value, stderr), *values = map_ordered(lambda task: task(), [mean, *chunks], threads)
+    samples = [SpectralSample(key, lam) for key, lam in zip(keys, np.concatenate(values).tolist())]
     return SpectralReport(n, k_blocks, samples, value, "exact" if exact else "mc",
                           len(samples), stderr, closed_form)

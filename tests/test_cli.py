@@ -231,6 +231,21 @@ class TestSpectral:
                               .split("\n", 1)[1]))
             assert blobs[0] == blobs[1]
 
+    def test_threads_identical_bytes(self, tmp_path):
+        # one-row (Lanczos) chunks at n = 200, with the Monte Carlo mean on the same pool
+        qfile = tmp_path / "r"
+        run_cli("gen", "--kind", "randomcorr", "--n", 200, "--alpha", 0.05,
+                "--seed", 3, "--out", qfile)
+        blobs = []
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}"
+            assert run_cli("spectral", "--q", str(qfile) + ".q", "--k", 4, "--samples", 10,
+                           "--threads", threads, "--seed", 6, "--out", out) == 0
+            invocation, rows = (tmp_path / f"t{threads}_samples.csv").read_bytes().split(b"\n", 1)
+            assert invocation.startswith(b"# blockprec ")
+            blobs.append((out.with_suffix(".json").read_bytes(), rows))
+        assert blobs[0] == blobs[1]
+
     def test_arpack_failure_exit_0(self, tmp_path, capsys, monkeypatch):
         import scipy.sparse.linalg
 

@@ -1,5 +1,7 @@
 import io
+import itertools
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -34,8 +36,11 @@ from blockprec import (
     separable_toy,
     uniform_closed_form,
 )
+from blockprec import spectral
 from blockprec.spectral import (
+    _block_inverses,
     _lambda_min_stack,
+    _mean_inverse,
     expected_inverse_exact,
     lambda_min_of_expected,
 )
@@ -646,6 +651,32 @@ class TestMeanInverseKernel:
             rate_general(np.eye(6), parts, GeneralModelParams())
 
 
+class TestBlockInverses:
+    """Each inverse of the block-inverse kernel against np.linalg.inv of its diagonal block."""
+
+    # block sizes 1, 2, 6, 100 and 150; K not dividing n mixes 3 with 2 and 151 with 150
+    @pytest.mark.parametrize("n, k", [(6, 6), (6, 3), (12, 2), (300, 3), (300, 2), (7, 3),
+                                      (301, 2)])
+    def test_each_inverse_matches_dense_inverse(self, n, k):
+        q = random_spd(n, np.random.default_rng(n + k))
+        parts = [sample_uniform_partition(n, k, derive_seed(n, i)) for i in range(3)]
+        assignments = np.stack([p.assignment for p in parts])
+        seen = []
+        for row, where, inverse in _block_inverses(q, assignments):
+            for r, flat, got in zip(row, where, inverse):
+                idx = flat.diagonal() // (n + 1)
+                np.testing.assert_array_equal(
+                    idx, np.flatnonzero(assignments[r] == assignments[r, idx[0]]))
+                want = np.linalg.inv(q[np.ix_(idx, idx)])
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+                seen.append((int(r), int(idx[0])))
+        assert sorted(seen) == sorted((r, int(np.flatnonzero(a == b)[0]))
+                                      for r, a in enumerate(assignments) for b in range(k))
+        want = dense_mean_inverse(q, parts)
+        np.testing.assert_allclose(_mean_inverse(q, assignments), want,
+                                   rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def lambda_min_generalized(q, part):
     """lambda_min of the pencil (Q, Q_P), the spectrum of Q_P^{-1} Q."""
     return float(scipy.linalg.eigh(q, block_mask(q, part), eigvals_only=True,
@@ -695,14 +726,45 @@ class TestStackedDistribution:
                                    rtol=0, atol=1e-12)
 
     def test_threads_give_equal_values(self):
-        # chunks of 40 rows at n = 40; one-row (Lanczos) chunks at n = 200
-        for n, samples in ((40, 200), (200, 12)):
+        # sampled: chunks of 40 rows at n = 40, one-row (Lanczos) chunks at n = 200;
+        # exact: 5775 partitionings of 12 coordinates in 13 chunks
+        for n, k, samples, exact in ((40, 4, 200, False), (200, 4, 12, False), (12, 3, 1, True)):
             q = random_spd(n, np.random.default_rng(6))
-            a = build_report(q, 4, n_samples=samples, seed=2, threads=1)
-            b = build_report(q, 4, n_samples=samples, seed=2, threads=2)
-            assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
-            assert [s.key for s in a.samples] == [s.key for s in b.samples]
-            assert a.lambda_min_expected == b.lambda_min_expected and a.stderr == b.stderr
+            a, *others = [build_report(q, k, n_samples=samples, seed=2, exact=exact,
+                                       threads=threads) for threads in (1, 2, 3)]
+            for b in others:
+                assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
+                assert [s.key for s in a.samples] == [s.key for s in b.samples]
+                assert a.lambda_min_expected == b.lambda_min_expected and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_mean_runs_beside_the_distribution(self, monkeypatch, exact):
+        # The first distribution chunk waits until the mean has started. A mean that
+        # only starts after the distribution never starts in time, whatever the speed.
+        started = threading.Event()
+        waited = []
+        calls = itertools.count()
+        stack = spectral._lambda_min_stack
+        mean_name = "_mean_inverse" if exact else "_lambda_mc"
+        mean = getattr(spectral, mean_name)
+
+        def waiting_stack(*args):
+            if next(calls) == 0:
+                waited.append(started.wait(timeout=20))
+            return stack(*args)
+
+        def starting_mean(*args):
+            started.set()
+            return mean(*args)
+
+        q = random_spd(12, np.random.default_rng(4))
+        want = build_report(q, 3, n_samples=30, seed=5, exact=exact)
+        monkeypatch.setattr(spectral, "_lambda_min_stack", waiting_stack)
+        monkeypatch.setattr(spectral, mean_name, starting_mean)
+        got = build_report(q, 3, n_samples=30, seed=5, exact=exact, threads=2)
+        assert waited == [True]
+        assert got.samples == want.samples
+        assert (got.lambda_min_expected, got.stderr) == (want.lambda_min_expected, want.stderr)
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_singular_block_named_as_block_cholesky_names_it(self, exact):
