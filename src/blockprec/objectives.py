@@ -86,7 +86,7 @@ class Quadratic:
         return self.h
 
     def block_curvature(self, x, part, model=EXACT_HESSIAN):
-        """Diagonal blocks H[P_k, P_k] of ``curvature(x, model)``, in ``part.blocks()`` order."""
+        """Diagonal blocks of H, one stack per block size: ``diagonal_blocks(H, part)``."""
         _check_x(x, self.n)
         _check_model(model)
         return diagonal_blocks(self.h, part)
@@ -209,28 +209,36 @@ class Glm:
         return 0.5 * (q + q.T) + reg
 
     def block_curvature(self, x, part, model=EXACT_HESSIAN):
-        """Diagonal blocks of ``curvature(x, model)``, in ``part.blocks()`` order.
+        """Diagonal blocks of ``curvature(x, model)``, one (K_s, s, s) stack per block size.
 
-        Constant curvature slices the cached Gram: gamma_ell G[P_k, P_k] + lambda I.
-        The exact logistic Hessian takes one margin pass for the weights w and
-        forms each block as B_k^T B_k + lambda I with B_k = sqrt(w) o A[:, P_k],
-        so beyond the column-major copy of A it holds one dense m x n_k slice.
+        The stacks follow ``part.stacks()``, as those of ``diagonal_blocks`` do.
+        Constant curvature takes the cached Gram's stacks and forms
+        gamma_ell G[P_k, P_k] + lambda I once per stack. The exact logistic
+        Hessian takes one margin pass for the weights w and writes each block
+        B_k^T B_k, B_k = sqrt(w) o A[:, P_k], into its slot of a preallocated
+        stack, then adds lambda I per stack, so beyond the column-major copy
+        of A it holds one dense m x n_k slice.
         """
         x = _check_x(x, self.n)
         if self.curvature_is_constant(model):
-            return [self.gamma_loss * block + self.lam * np.eye(block.shape[0])
-                    for block in diagonal_blocks(self.gram(), part)]
+            return [self.gamma_loss * stack + self.lam * np.eye(stack.shape[1])
+                    for stack in diagonal_blocks(self.gram(), part)]
         if part.n != self.n:
             raise InvalidArgumentError(
                 f"partitioning over {part.n} coordinates does not match n = {self.n}")
         root_w = np.sqrt(self._hessian_weights(x))[:, None]
-        blocks = []
-        for idx in part.blocks():
-            cols = self._columns[:, idx]  # a fresh copy, scaled in place
-            cols = cols.toarray() if scipy.sparse.issparse(cols) else cols
-            cols *= root_w
-            blocks.append(cols.T @ cols + self.lam * np.eye(idx.size))
-        return blocks
+        stacks = []
+        for _, idx in part.stacks():
+            size = idx.shape[1]
+            stack = np.empty((len(idx), size, size))
+            for cols_idx, block in zip(idx, stack):
+                cols = self._columns[:, cols_idx]  # a fresh copy, scaled in place
+                cols = cols.toarray() if scipy.sparse.issparse(cols) else cols
+                cols *= root_w
+                np.matmul(cols.T, cols, out=block)
+            stack += self.lam * np.eye(size)
+            stacks.append(stack)
+        return stacks
 
     def optimum(self):
         """Minimizer and minimum value.

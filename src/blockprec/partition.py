@@ -4,7 +4,9 @@ A partitioning splits the n coordinate indices into K disjoint, non-empty
 blocks. Masking a symmetric matrix by a partitioning keeps the entries
 whose row and column fall in the same block and zeroes the rest, which
 makes linear solves against the masked matrix decompose into independent
-per-block solves.
+per-block solves. The blocks of one size form a stack: diagonal blocks
+travel as one (K_s, s, s) array per block size s, gathered by one flat
+take, checked in one vectorized pass and factored by one batched Cholesky.
 """
 
 import itertools
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from .errors import EnumerationCapError, InvalidArgumentError, SingularBlockError
 from .seeding import check_seed
@@ -89,6 +92,30 @@ class Partitioning:
             blocks = tuple(np.split(order, np.cumsum(self.block_sizes())[:-1]))
             object.__setattr__(self, "_blocks", blocks)
         return blocks
+
+    def stacks(self):
+        """One ``(labels, idx)`` pair per distinct block size, smallest size first.
+
+        ``labels`` holds the labels of the blocks of size s, ascending, and
+        ``idx`` their coordinates as a (len(labels), s) array whose rows are
+        the ``blocks()`` of those labels. Computed on the first call and
+        shared by every later one, so the arrays are read-only.
+        """
+        stacks = self.__dict__.get("_stacks")
+        if stacks is None:
+            sizes = self.block_sizes()
+            order = np.argsort(self.assignment, kind="stable")
+            starts = np.cumsum(sizes) - sizes
+            stacks = []
+            for size in np.unique(sizes):
+                labels = np.flatnonzero(sizes == size)
+                idx = order[starts[labels, None] + np.arange(size)]
+                labels.setflags(write=False)
+                idx.setflags(write=False)
+                stacks.append((labels, idx))
+            stacks = tuple(stacks)
+            object.__setattr__(self, "_stacks", stacks)
+        return stacks
 
     def block_sizes(self):
         return np.bincount(self.assignment, minlength=self.k_blocks)
@@ -199,60 +226,104 @@ def block_mask(q, part: Partitioning):
 
 
 def diagonal_blocks(q, part: Partitioning):
-    """The principal blocks Q[P_k, P_k] of ``q`` in ``part.blocks()`` order.
+    """The principal blocks Q[P_k, P_k] of ``q``, one (K_s, s, s) stack per block size.
 
-    Only the shape is checked here; ``BlockCholesky`` checks the blocks it
-    is given.
+    The stacks follow ``part.stacks()``, and the blocks of a stack the rows
+    of its ``idx``; each stack is gathered by one flat take of ``q.ravel()``.
+    Only the shape of ``q`` is checked here; ``BlockCholesky`` checks the
+    blocks it is given.
     """
     q = _check_dims(q, part)
-    return [q[np.ix_(idx, idx)] for idx in part.blocks()]
+    flat = q.ravel()
+    return [flat.take(idx[:, :, None] * part.n + idx[:, None, :]) for _, idx in part.stacks()]
+
+
+def _bad_entries(stack, tol):
+    """Per block of a (K_s, s, s) stack: whether ``_check_entries`` would raise on it."""
+    scale = np.abs(stack).max(axis=(1, 2))
+    skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
+    return ~np.isfinite(scale) | (skew > tol * np.maximum(1.0, scale))
 
 
 class BlockCholesky:
     """Per-block Cholesky factorization of the masked matrix Q_P.
 
-    Takes the principal blocks Q[P_k, P_k] in ``part.blocks()`` order (from
-    ``diagonal_blocks(q, part)`` or an objective's ``block_curvature``),
-    checks and factors each one (+ jitter on the diagonal) once, and exposes
-    the solve and congruence operations used by the solver and the spectral
-    analysis. Blocks are independent, so all operations decompose per block
-    and yield results identical to dense computations against
-    block_mask(Q, P).
+    Takes the principal blocks Q[P_k, P_k] as one (K_s, s, s) stack per
+    entry of ``part.stacks()`` (from ``diagonal_blocks(q, part)`` or an
+    objective's ``block_curvature``), checks each stack in one vectorized
+    pass and factors it (+ jitter on the diagonal) once, with one batched
+    Cholesky, and exposes the solve and congruence operations used by the
+    solver and the spectral analysis. Blocks are independent, so all
+    operations decompose per block and yield results identical to dense
+    computations against block_mask(Q, P). A block that fails its check or
+    its factorization is named as a loop over the blocks in label order
+    would name it: the lowest failing label.
     """
 
-    def __init__(self, blocks, part: Partitioning, jitter: float = 0.0):
+    def __init__(self, stacks, part: Partitioning, jitter: float = 0.0):
         if not 0.0 <= jitter < np.inf:
             raise InvalidArgumentError(f"jitter must be non-negative and finite, got {jitter}")
         self.part = part
         self.n = part.n
-        self._blocks = part.blocks()
-        if len(blocks) != len(self._blocks):
-            raise InvalidArgumentError(f"expected {len(self._blocks)} blocks, got {len(blocks)}")
-        self._factors = []
-        for k, (idx, block) in enumerate(zip(self._blocks, blocks)):
-            block = np.asarray(block, dtype=float)
-            if block.shape != (idx.size, idx.size):
+        self._stacks = part.stacks()
+        if len(stacks) != len(self._stacks):
+            raise InvalidArgumentError(
+                f"expected {part.k_blocks} blocks in {len(self._stacks)} stacks, one per "
+                f"block size, got {len(stacks)} stacks")
+        stacks = [np.asarray(stack, dtype=float) for stack in stacks]
+        for (labels, idx), stack in zip(self._stacks, stacks):
+            want = idx.shape + idx.shape[1:]
+            if stack.shape != want:
                 raise InvalidArgumentError(
-                    f"block {k} has shape {block.shape}, expected ({idx.size}, {idx.size})")
-            _check_entries(block, SYMMETRY_TOL, f"block {k}")
+                    f"the stack of size-{idx.shape[1]} blocks holding block {labels[0]} "
+                    f"has shape {stack.shape}, expected {want}")
+        if any(_bad_entries(stack, SYMMETRY_TOL).any() for stack in stacks):
+            self._raise_first_failure(stacks, jitter)
+        self._factors = []
+        for stack in stacks:
             if jitter:
-                block = block + jitter * np.eye(idx.size)
+                stack = stack + jitter * np.eye(stack.shape[1])
             try:  # numpy's Cholesky, as in the batched spectral kernel, so both agree
-                lower = np.linalg.cholesky(block)
+                self._factors.append(np.linalg.cholesky(stack))
+            except np.linalg.LinAlgError:
+                self._raise_first_failure(stacks, jitter)
+                raise
+
+    def _raise_first_failure(self, stacks, jitter):
+        """Raise the error of the lowest-labelled block that fails its check or its Cholesky.
+
+        Runs only after a stack has failed, so the loop over single blocks
+        costs nothing on the success path.
+        """
+        blocks = {}
+        for (labels, _), stack in zip(self._stacks, stacks):
+            blocks.update(zip(labels.tolist(), stack))
+        for k in sorted(blocks):
+            block = blocks[k]
+            _check_entries(block, SYMMETRY_TOL, f"block {k}")
+            try:
+                np.linalg.cholesky(block + jitter * np.eye(len(block)) if jitter else block)
             except np.linalg.LinAlgError as exc:
                 raise SingularBlockError(
-                    k, f"block {k} (size {idx.size}) is not positive definite"
+                    k, f"block {k} (size {len(block)}) is not positive definite"
                     + ("" if jitter else "; consider a positive jitter")) from exc
-            self._factors.append(lower)
+
+    def _block_factors(self):
+        """(idx, L) per block, stack by stack."""
+        for (_, idx), factors in zip(self._stacks, self._factors):
+            yield from zip(idx, factors)
 
     def solve(self, g):
-        """Solve Q_P d = g block by block."""
+        """Solve Q_P d = g: one gather of g per stack, then LAPACK ``dpotrs`` in place per block."""
         g = np.asarray(g, dtype=float)
         if g.shape != (self.n,):
             raise InvalidArgumentError(f"expected a vector of length {self.n}, got shape {g.shape}")
         d = np.empty_like(g)
-        for idx, lower in zip(self._blocks, self._factors):
-            d[idx] = scipy.linalg.cho_solve((lower, True), g[idx], check_finite=False)
+        for (_, idx), factors in zip(self._stacks, self._factors):
+            rhs = g[idx]
+            for lower, b in zip(factors, rhs):
+                dpotrs(lower, b, lower=1, overwrite_b=1)
+            d[idx] = rhs
         return d
 
     def whiten(self, q):
@@ -263,12 +334,11 @@ class BlockCholesky:
         """
         q = _check_dims(check_symmetric_matrix(q), self.part)
         y = np.empty_like(q)
-        for idx, lower in zip(self._blocks, self._factors):
+        for idx, lower in self._block_factors():
             y[idx, :] = scipy.linalg.solve_triangular(
                 lower, q[idx, :], lower=True, check_finite=False)
         w = np.empty_like(q)
-        for idx, lower in zip(self._blocks, self._factors):
+        for idx, lower in self._block_factors():
             w[:, idx] = scipy.linalg.solve_triangular(
                 lower, y[:, idx].T, lower=True, check_finite=False).T
         return w
-

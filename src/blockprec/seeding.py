@@ -42,17 +42,15 @@ def derive_seed(base_seed: int, *tags: int) -> int:
 def map_ordered(fn, items, threads):
     """Apply fn over items, yielding results in input order.
 
-    With threads > 1 the work runs on a pool but results are still
-    consumed in index order (bounded chunks keep memory flat), so any
-    downstream accumulation is independent of the thread count. An
-    exception raised by fn(items[i]) surfaces after the results for
-    items[:i] have been yielded.
+    With threads > 1 every item is submitted to the pool at once, so no
+    task waits for an earlier batch, and results are still consumed in
+    index order, so any downstream accumulation is independent of the
+    thread count. An exception raised by fn(items[i]) surfaces after the
+    results for items[:i] have been yielded.
     """
     if threads <= 1:
         for item in items:
             yield fn(item)
         return
-    chunk = max(4 * threads, 16)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for start in range(0, len(items), chunk):
-            yield from pool.map(fn, items[start:start + chunk])
+        yield from pool.map(fn, items)

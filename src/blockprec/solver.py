@@ -162,8 +162,10 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
     (and partitioning) per iteration from the base seed. Deterministic
     given the config. Each iterate's value and gradient are evaluated once,
     when it is recorded, and the preconditioner is factored from the
-    objective's ``block_curvature``, so no full n x n curvature is formed. A
-    non-finite objective value aborts the run with a DivergenceError
+    objective's ``block_curvature``, so no full n x n curvature is formed:
+    one batched Cholesky per stack of same-size blocks, once per iteration,
+    or once per run when the scheme is static and the curvature constant.
+    A non-finite objective value aborts the run with a DivergenceError
     carrying the partial trace.
     """
     n = obj.n

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
@@ -10,10 +11,12 @@ from blockprec import (
     InvalidArgumentError,
     Quadratic,
     SingularBlockError,
+    SolverConfig,
     UnsupportedLossError,
     diagonal_blocks,
     logistic,
     ridge,
+    run,
     sample_uniform_partition,
 )
 
@@ -225,13 +228,15 @@ class TestBlockCurvature:
             part = sample_uniform_partition(obj.n, k, seed=k)
             x = rng.standard_normal(obj.n)
             full = obj.curvature(x, model)
-            blocks = obj.block_curvature(x, part, model)
-            assert len(blocks) == k
-            for idx, block in zip(part.blocks(), blocks):
-                want = full[np.ix_(idx, idx)]
-                if obj.curvature_is_constant(model):
-                    np.testing.assert_array_equal(block, want)
-                assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
+            stacks = obj.block_curvature(x, part, model)
+            assert len(stacks) == len(part.stacks())
+            assert sum(len(stack) for stack in stacks) == k
+            for (_, idx), stack in zip(part.stacks(), stacks):
+                for i, block in zip(idx, stack):
+                    want = full[np.ix_(i, i)]
+                    if obj.curvature_is_constant(model):
+                        np.testing.assert_array_equal(block, want)
+                    assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_quadratic_blocks_are_bit_identical(self):
         rng = np.random.default_rng(13)
@@ -239,9 +244,62 @@ class TestBlockCurvature:
         obj = Quadratic(g @ g.T / 14 + 0.2 * np.eye(7), rng.standard_normal(7))
         part = sample_uniform_partition(7, 3, seed=2)
         for model in (EXACT_HESSIAN, SMOOTHNESS_BOUND):
-            blocks = obj.block_curvature(rng.standard_normal(7), part, model)
-            for idx, block in zip(part.blocks(), blocks):
-                np.testing.assert_array_equal(block, obj.h[np.ix_(idx, idx)])
+            stacks = obj.block_curvature(rng.standard_normal(7), part, model)
+            for (_, idx), stack in zip(part.stacks(), stacks):
+                for i, block in zip(idx, stack):
+                    np.testing.assert_array_equal(block, obj.h[np.ix_(i, i)])
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6])
+    @pytest.mark.parametrize("model", [EXACT_HESSIAN, SMOOTHNESS_BOUND])
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_stacked_solve_is_bit_identical_to_per_block_cho_solve(self, sparse, loss, model,
+                                                                   jitter):
+        # K = 2 and K = 4 do not divide n = 9, so each partitioning has two block sizes
+        rng = np.random.default_rng(16)
+        a, y_real, y_pm = random_glm_data(rng)
+        if sparse:
+            a[np.abs(a) < 0.15] = 0.0
+            a = scipy.sparse.csr_matrix(a)
+        obj = ridge(a, y_real, lam=0.3) if loss == "squared" else logistic(a, y_pm, lam=0.3)
+        for k in (2, 4):
+            part = sample_uniform_partition(obj.n, k, seed=k)
+            x, g = rng.standard_normal(obj.n), rng.standard_normal(obj.n)
+            full = obj.curvature(x, model)
+            root_w = np.sqrt(obj._hessian_weights(x))[:, None] if loss == "logistic" else None
+            want = np.empty(obj.n)
+            for idx in part.blocks():
+                if obj.curvature_is_constant(model):
+                    block = full[np.ix_(idx, idx)]
+                else:  # the exact logistic Hessian, one column slice at a time
+                    cols = obj._columns[:, idx]
+                    cols = cols.toarray() if sparse else cols
+                    cols *= root_w
+                    block = cols.T @ cols + obj.lam * np.eye(idx.size)
+                if jitter:
+                    block = block + jitter * np.eye(idx.size)
+                want[idx] = scipy.linalg.cho_solve((np.linalg.cholesky(block), True), g[idx],
+                                                   check_finite=False)
+            got = BlockCholesky(obj.block_curvature(x, part, model), part, jitter=jitter)
+            np.testing.assert_array_equal(got.solve(g), want)
+
+    @pytest.mark.parametrize("scheme", ["static", "dynamic"])
+    def test_static_constant_curvature_run_factors_once(self, monkeypatch, scheme):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        rng = np.random.default_rng(18)
+        g = rng.standard_normal((9, 18))
+        obj = Quadratic(g @ g.T / 18 + 0.2 * np.eye(9), rng.standard_normal(9))
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        run(obj, SolverConfig(k_blocks=4, scheme=scheme, seed=5, n_iters=6))
+        # every partitioning of 9 into 4 blocks has sizes 3, 2, 2, 2: two stacks
+        stacks = [(1, 3, 3), (3, 2, 2)]
+        assert sorted(calls) == sorted(stacks * (1 if scheme == "static" else 6))
 
     @pytest.mark.parametrize("model", [EXACT_HESSIAN, SMOOTHNESS_BOUND])
     @pytest.mark.parametrize("loss", ["squared", "logistic"])

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,23 @@ class TestSampling:
         assert part.blocks() is part.blocks()
         with pytest.raises(ValueError):
             part.blocks()[0][0] = 4
+
+    @pytest.mark.parametrize("assignment", [[2, 0, 1, 0, 2, 0], [0, 1, 1, 0, 2, 1, 2]])
+    def test_stacks_group_the_blocks_by_size(self, assignment):
+        part = Partitioning(np.array(assignment), 3)
+        assert part.stacks() is part.stacks()
+        sizes = [idx.shape[1] for _, idx in part.stacks()]
+        assert sizes == sorted(set(part.block_sizes()))
+        labels = np.concatenate([labels for labels, _ in part.stacks()])
+        assert sorted(labels) == [0, 1, 2]
+        for labels, idx in part.stacks():
+            assert list(labels) == sorted(labels)
+            for label, row in zip(labels, idx):
+                np.testing.assert_array_equal(row, part.blocks()[label])
+            with pytest.raises(ValueError):
+                idx[0, 0] = 4
+            with pytest.raises(ValueError):
+                labels[0] = 4
 
     def test_forced_sizes_n5_k2(self):
         part = sample_uniform_partition(5, 2, seed=3)
@@ -293,10 +311,105 @@ class TestBlockSolve:
         part = Partitioning(np.array([0, 1, 1]), 2)
         with pytest.raises(InvalidArgumentError, match="expected 2 blocks"):
             BlockCholesky(diagonal_blocks(np.eye(3), part)[:1], part)
+        blocks = [np.eye(1), np.eye(3)]  # block 1 has the wrong size
         with pytest.raises(InvalidArgumentError, match="block 1 has shape"):
-            BlockCholesky([np.eye(1), np.eye(3)], part)
+            BlockCholesky([np.stack([blocks[k] for k in labels]) for labels, _ in part.stacks()],
+                          part)
         with pytest.raises(InvalidArgumentError):
             diagonal_blocks(np.eye(4), part)
+
+
+def per_block_solve(q, part, g, jitter):
+    """The block solve as a loop over ``part.blocks()``: a Cholesky and a cho_solve per block."""
+    d = np.empty_like(g)
+    for idx in part.blocks():
+        block = q[np.ix_(idx, idx)]
+        if jitter:
+            block = block + jitter * np.eye(idx.size)
+        d[idx] = scipy.linalg.cho_solve((np.linalg.cholesky(block), True), g[idx],
+                                        check_finite=False)
+    return d
+
+
+# Sizes 3, 1 and 2 for labels 0, 1 and 2, so the stacks (by size) run out of label order.
+OUT_OF_ORDER = Partitioning(np.array([2, 0, 1, 0, 2, 0]), 3)
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("jitter", [0.0, 1e-6])
+    def test_bit_identical_to_per_block_cho_solve(self, jitter):
+        rng = np.random.default_rng(16)
+        parts = [OUT_OF_ORDER]
+        for trial in range(20):
+            n = int(rng.integers(5, 40))
+            k = int(rng.choice([k for k in range(2, n) if n % k]))
+            parts.append(sample_uniform_partition(n, k, seed=trial))
+        for part in parts:
+            assert len(part.stacks()) == len(set(part.block_sizes()))
+            q = random_spd(part.n, rng)
+            g = rng.standard_normal(part.n)
+            got = BlockCholesky(diagonal_blocks(q, part), part, jitter=jitter).solve(g)
+            np.testing.assert_array_equal(got, per_block_solve(q, part, g, jitter))
+
+    def test_one_cholesky_per_block_size(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        rng = np.random.default_rng(17)
+        for part in (OUT_OF_ORDER, sample_uniform_partition(30, 8, seed=1)):
+            calls.clear()
+            BlockCholesky(diagonal_blocks(random_spd(part.n, rng), part), part)
+            assert calls == [idx.shape + idx.shape[1:] for _, idx in part.stacks()]
+
+    @staticmethod
+    def two_bad_blocks(kind):
+        """Q over OUT_OF_ORDER with blocks 0 (size 3) and 2 (size 2) broken as ``kind`` says."""
+        q = np.eye(6)
+        block0, block2 = [1, 3, 5], [0, 4]
+        if kind == "singular":
+            q[np.ix_(block0, block0)] = 1.0
+            q[np.ix_(block2, block2)] = 1.0
+        elif kind == "entries":
+            q[1, 3] = np.nan
+            q[0, 4] = 0.5  # block 2 is not symmetric
+        else:  # block 0 is singular, block 2 not symmetric
+            q[np.ix_(block0, block0)] = 1.0
+            q[0, 4] = 0.5
+        return q
+
+    def test_singular_block_named_across_stacks(self):
+        # the size-2 stack of block 2 is factored before the size-3 stack of block 0
+        q = self.two_bad_blocks("singular")
+        with pytest.raises(SingularBlockError) as excinfo:
+            BlockCholesky(diagonal_blocks(q, OUT_OF_ORDER), OUT_OF_ORDER)
+        assert excinfo.value.block == 0
+        assert str(excinfo.value) == \
+            "block 0 (size 3) is not positive definite; consider a positive jitter"
+        q[[1, 3, 5], [1, 3, 5]] = 0.5  # block 0 is now indefinite whatever the jitter
+        with pytest.raises(SingularBlockError) as excinfo:
+            BlockCholesky(diagonal_blocks(q, OUT_OF_ORDER), OUT_OF_ORDER, jitter=1e-6)
+        assert excinfo.value.block == 0
+        assert str(excinfo.value) == "block 0 (size 3) is not positive definite"
+
+    def test_bad_entries_named_across_stacks(self):
+        q = self.two_bad_blocks("entries")
+        with pytest.raises(InvalidArgumentError, match="^block 0 has non-finite entries$"):
+            BlockCholesky(diagonal_blocks(q, OUT_OF_ORDER), OUT_OF_ORDER)
+        q[1, 3] = 0.0
+        with pytest.raises(InvalidArgumentError, match="^block 2 is not symmetric"):
+            BlockCholesky(diagonal_blocks(q, OUT_OF_ORDER), OUT_OF_ORDER)
+
+    def test_lowest_label_wins_between_kinds(self):
+        # a label-order loop reaches the singular block 0 before the asymmetric block 2
+        q = self.two_bad_blocks("mixed")
+        with pytest.raises(SingularBlockError) as excinfo:
+            BlockCholesky(diagonal_blocks(q, OUT_OF_ORDER), OUT_OF_ORDER)
+        assert excinfo.value.block == 0
 
 
 class TestWhitenBound:

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from blockprec import (
     gen_random_corr_q,
     sample_uniform_partition,
 )
+from blockprec.seeding import map_ordered
 
 # Every public entry point that takes a seed, called with that seed.
 SEEDED = {
@@ -43,3 +46,18 @@ def test_non_integer_seed_rejected(name, seed):
 def test_integer_types_accepted():
     assert derive_seed(np.uint64(7), 0) == derive_seed(7, 0) == derive_seed(np.int32(7), 0)
     assert derive_seed(1, 0) != derive_seed(2, 0)
+
+
+def test_map_ordered_submits_every_task_at_once():
+    # On two threads task 0 holds one worker until task 16 starts on the
+    # other, which a pool fed in batches of 16 tasks never reaches.
+    last_started = threading.Event()
+
+    def task(i):
+        if i == 16:
+            last_started.set()
+        if i == 0 and not last_started.wait(timeout=20):
+            raise TimeoutError("task 16 did not start while task 0 waited")
+        return i
+
+    assert list(map_ordered(task, list(range(17)), threads=2)) == list(range(17))
