@@ -1,8 +1,8 @@
 """Objective functions: quadratic, ridge regression, logistic regression.
 
-Each objective exposes its value, gradient, a curvature-model matrix used
-for preconditioning (in full, or only the diagonal blocks of a
-partitioning, which is all the solver factors), and its optimum.
+Each objective exposes its value, gradient, the diagonal blocks of a
+curvature-model matrix under a partitioning (all the solver factors; the
+one-block partitioning gives the whole matrix), and its optimum.
 Curvature comes in two flavours: the exact Hessian (which depends on the
 iterate for logistic loss) and an iterate-independent smoothness bound
 gamma_ell * A^T A. Regularized objectives fold lambda/2 ||x||^2 into the
@@ -15,7 +15,7 @@ import scipy.sparse
 from scipy.special import expit
 
 from .errors import BlockprecError, InvalidArgumentError, UnsupportedLossError
-from .partition import check_symmetric_matrix, diagonal_blocks
+from .partition import Partitioning, check_symmetric_matrix, diagonal_blocks
 
 EXACT_HESSIAN = "exact_hessian"
 SMOOTHNESS_BOUND = "smoothness_bound"
@@ -80,11 +80,6 @@ class Quadratic:
         x = _check_x(x, self.n)
         return self.h @ x - self.c
 
-    def curvature(self, x, model=EXACT_HESSIAN):
-        _check_x(x, self.n)
-        _check_model(model)
-        return self.h
-
     def block_curvature(self, x, part, model=EXACT_HESSIAN):
         """Diagonal blocks of H, one stack per block size: ``diagonal_blocks(H, part)``."""
         _check_x(x, self.n)
@@ -92,7 +87,7 @@ class Quadratic:
         return diagonal_blocks(self.h, part)
 
     def curvature_is_constant(self, model) -> bool:
-        """Whether ``curvature(x, model)`` is the same for every x: always, it is H."""
+        """Whether ``block_curvature(x, part, model)`` is the same for every x: always, H's."""
         _check_model(model)
         return True
 
@@ -116,10 +111,11 @@ class Glm:
 
     ``loss`` is "squared" (ridge regression, ell(v) = 1/2 ||v - y||^2) or
     "logistic" (ell(v) = sum_i log(1 + exp(-y_i v_i)), labels in {-1, +1}).
-    A may be dense or scipy.sparse. The full curvature A^T D A never
-    densifies A. For logistic loss a column-major copy of A (CSC when A is
-    sparse) is kept, from which ``block_curvature`` densifies one m x n_k
-    column slice A[:, P_k] at a time.
+    A may be dense or scipy.sparse. For logistic loss a column-major copy
+    of A (CSC when A is sparse) is kept, from which ``block_curvature``
+    densifies one m x n_k column slice A[:, P_k] at a time. The Newton
+    reference solve behind the logistic optimum takes the one-block
+    exact Hessian, so it holds one dense m x n slice of A.
     """
 
     def __init__(self, a, y, loss: str, lam: float = 0.0):
@@ -188,36 +184,26 @@ class Glm:
         return sig * (1.0 - sig)
 
     def curvature_is_constant(self, model) -> bool:
-        """Whether ``curvature(x, model)`` is the same for every x.
+        """Whether ``block_curvature(x, part, model)`` is the same for every x.
 
-        It is gamma_ell A^T A + lambda I, except for the exact Hessian of
-        logistic loss, which weights the rows of A by the iterate.
+        Its blocks are those of gamma_ell A^T A + lambda I, except for the
+        exact Hessian of logistic loss, which weights the rows of A by the
+        iterate.
         """
         _check_model(model)
         return self.loss == SQUARED or model == SMOOTHNESS_BOUND
 
-    def curvature(self, x, model=EXACT_HESSIAN):
-        x = _check_x(x, self.n)
-        reg = self.lam * np.eye(self.n)
-        if self.curvature_is_constant(model):
-            return self.gamma_loss * self.gram() + reg
-        weights = self._hessian_weights(x)[:, None]
-        if scipy.sparse.issparse(self.a):
-            q = np.asarray((self.a.T @ self.a.multiply(weights)).todense(), dtype=float)
-        else:
-            q = self.a.T @ (weights * self.a)
-        return 0.5 * (q + q.T) + reg
-
     def block_curvature(self, x, part, model=EXACT_HESSIAN):
-        """Diagonal blocks of ``curvature(x, model)``, one (K_s, s, s) stack per block size.
+        """Diagonal blocks of the curvature model at x, one (K_s, s, s) stack per block size.
 
-        The stacks follow ``part.stacks()``, as those of ``diagonal_blocks`` do.
-        Constant curvature takes the cached Gram's stacks and forms
-        gamma_ell G[P_k, P_k] + lambda I once per stack. The exact logistic
-        Hessian takes one margin pass for the weights w and writes each block
-        B_k^T B_k, B_k = sqrt(w) o A[:, P_k], into its slot of a preallocated
-        stack, then adds lambda I per stack, so beyond the column-major copy
-        of A it holds one dense m x n_k slice.
+        The model is gamma_ell A^T A + lambda I (constant) or the exact
+        Hessian A^T diag(w) A + lambda I. The stacks follow ``part.stacks()``,
+        as those of ``diagonal_blocks`` do. Constant curvature takes the
+        cached Gram's stacks and forms gamma_ell G[P_k, P_k] + lambda I once
+        per stack. The exact logistic Hessian takes one margin pass for the
+        weights w and writes each block B_k^T B_k, B_k = sqrt(w) o A[:, P_k],
+        into its slot of a preallocated stack, then adds lambda I per stack,
+        so beyond the column-major copy of A it holds one dense m x n_k slice.
         """
         x = _check_x(x, self.n)
         if self.curvature_is_constant(model):
@@ -250,7 +236,9 @@ class Glm:
         """
         if self._optimum is None:
             if self.loss == SQUARED:
-                h = self.gram() + self.lam * np.eye(self.n)
+                # gamma_ell = 1, so the one block is G + lambda I
+                h = self.block_curvature(
+                    np.zeros(self.n), Partitioning(np.zeros(self.n, dtype=np.intp), 1))[0][0]
                 rhs = np.asarray(self.a.T @ self.y, dtype=float).ravel()
                 try:
                     factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
@@ -273,11 +261,12 @@ class Glm:
         # g^T H^{-1} g. Once that is below rtol * |f|, which f cannot resolve
         # (or no damped step lowers f any more, which happens only there),
         # one last full step is taken.
+        whole = Partitioning(np.zeros(self.n, dtype=np.intp), 1)
         x = np.zeros(self.n)
         fx = self.value(x)
         for _ in range(max_iter):
             g = self.gradient(x)
-            h = self.curvature(x, EXACT_HESSIAN)
+            h = self.block_curvature(x, whole, EXACT_HESSIAN)[0][0]
             factor = scipy.linalg.cho_factor(h, lower=True, check_finite=False)
             step = scipy.linalg.cho_solve(factor, g, check_finite=False)
             if float(g @ step) <= rtol * max(1.0, abs(fx)):

@@ -62,16 +62,22 @@ class Partitioning:
     k_blocks: int
 
     def __post_init__(self):
-        assignment = np.asarray(self.assignment, dtype=np.intp)
-        assignment.setflags(write=False)
-        object.__setattr__(self, "assignment", assignment)
+        assignment = np.asarray(self.assignment)
         if self.k_blocks < 1:
             raise InvalidArgumentError("k_blocks must be positive")
         if assignment.ndim != 1 or assignment.size == 0:
             raise InvalidArgumentError("assignment must be a non-empty 1-d sequence")
+        if not np.issubdtype(assignment.dtype, np.integer):
+            raise InvalidArgumentError(
+                f"block labels must be integers, got dtype {assignment.dtype}")
+        assignment = assignment.astype(np.intp, copy=False)
+        assignment.setflags(write=False)
+        object.__setattr__(self, "assignment", assignment)
+        if assignment.min() < 0 or assignment.max() >= self.k_blocks:
+            raise InvalidArgumentError(
+                f"block labels must lie in [0, {self.k_blocks}), got "
+                f"{assignment.min()} to {assignment.max()}")
         counts = np.bincount(assignment, minlength=self.k_blocks)
-        if counts.size > self.k_blocks:
-            raise InvalidArgumentError("assignment refers to a block >= k_blocks")
         if np.any(counts == 0):
             raise InvalidArgumentError("every block must be non-empty")
 
@@ -79,27 +85,13 @@ class Partitioning:
     def n(self) -> int:
         return self.assignment.size
 
-    def blocks(self):
-        """Index arrays of the blocks, ordered by block label, ascending within a block.
-
-        Computed on the first call and shared by every later one, so the
-        arrays are read-only.
-        """
-        blocks = self.__dict__.get("_blocks")
-        if blocks is None:
-            order = np.argsort(self.assignment, kind="stable")
-            order.setflags(write=False)
-            blocks = tuple(np.split(order, np.cumsum(self.block_sizes())[:-1]))
-            object.__setattr__(self, "_blocks", blocks)
-        return blocks
-
     def stacks(self):
         """One ``(labels, idx)`` pair per distinct block size, smallest size first.
 
         ``labels`` holds the labels of the blocks of size s, ascending, and
-        ``idx`` their coordinates as a (len(labels), s) array whose rows are
-        the ``blocks()`` of those labels. Computed on the first call and
-        shared by every later one, so the arrays are read-only.
+        ``idx`` their coordinates as a (len(labels), s) array, one row per
+        block, ascending within a row. Computed on the first call and shared
+        by every later one, so the arrays are read-only.
         """
         stacks = self.__dict__.get("_stacks")
         if stacks is None:
@@ -119,17 +111,6 @@ class Partitioning:
 
     def block_sizes(self):
         return np.bincount(self.assignment, minlength=self.k_blocks)
-
-    def to_json_dict(self):
-        return {"n": int(self.n), "k": int(self.k_blocks),
-                "assignment": [int(b) for b in self.assignment]}
-
-    @classmethod
-    def from_json_dict(cls, obj):
-        part = cls(np.asarray(obj["assignment"], dtype=np.intp), int(obj["k"]))
-        if part.n != int(obj["n"]):
-            raise InvalidArgumentError("assignment length does not match declared n")
-        return part
 
     def __eq__(self, other):
         if not isinstance(other, Partitioning):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import objectives
 from .errors import DivergenceError, InvalidArgumentError, LineSearchError
-from .partition import BlockCholesky, sample_uniform_partition
+from .partition import BlockCholesky, Partitioning, sample_uniform_partition
 from .seeding import check_seed, derive_seed, map_ordered
 
 STATIC = "static"
@@ -234,9 +234,10 @@ def run_repeats(obj, config: SolverConfig, repeats: int, threads: int = 1):
     configs = [replace(config, seed=derive_seed(config.seed, r))
                for r in range(repeats)]
     # Fill the objective's lazy caches (optimum, Gram) before threads share it.
+    # Singleton blocks, so this gathers n entries and copies no n x n matrix.
     obj.optimum()
     if obj.curvature_is_constant(config.model):
-        obj.curvature(np.zeros(obj.n), config.model)
+        obj.block_curvature(np.zeros(obj.n), Partitioning(np.arange(obj.n), obj.n), config.model)
     traces = []
     try:
         for trace in map_ordered(lambda c: run(obj, c), configs, threads):

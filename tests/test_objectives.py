@@ -3,12 +3,14 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+from scipy.special import expit
 
 from blockprec import (
     EXACT_HESSIAN,
     SMOOTHNESS_BOUND,
     BlockCholesky,
     InvalidArgumentError,
+    Partitioning,
     Quadratic,
     SingularBlockError,
     SolverConfig,
@@ -19,6 +21,7 @@ from blockprec import (
     run,
     sample_uniform_partition,
 )
+from blockprec.objectives import gram_matrix
 
 
 def central_diff_gradient(obj, x):
@@ -30,6 +33,22 @@ def central_diff_gradient(obj, x):
         e[i] = h
         g[i] = (obj.value(x + e) - obj.value(x - e)) / (2.0 * h)
     return g
+
+
+def whole(n):
+    """The one-block partitioning, whose one diagonal block is the whole matrix."""
+    return Partitioning(np.zeros(n, dtype=np.intp), 1)
+
+
+def dense_curvature(obj, a, x, model):
+    """gamma_ell A^T A + lambda I, or the exact logistic Hessian A^T diag(w) A + lambda I."""
+    a = a.toarray() if scipy.sparse.issparse(a) else a
+    if obj.curvature_is_constant(model):
+        q = obj.gamma_loss * (a.T @ a)
+    else:
+        sig = expit(obj.y * (a @ x))
+        q = a.T @ ((sig * (1.0 - sig))[:, None] * a)
+    return q + obj.lam * np.eye(a.shape[1])
 
 
 def random_glm_data(rng, m=14, n=9):
@@ -64,8 +83,9 @@ class TestQuadratic:
         h = g @ g.T / 8 + 0.3 * np.eye(4)
         obj = Quadratic(h, np.zeros(4))
         x = rng.standard_normal(4)
-        np.testing.assert_array_equal(obj.curvature(x, EXACT_HESSIAN), h)
-        np.testing.assert_array_equal(obj.curvature(x, SMOOTHNESS_BOUND), h)
+        np.testing.assert_array_equal(obj.block_curvature(x, whole(4), EXACT_HESSIAN)[0][0], h)
+        np.testing.assert_array_equal(obj.block_curvature(x, whole(4), SMOOTHNESS_BOUND)[0][0],
+                                      h)
 
     def test_rejects_indefinite_h(self):
         with pytest.raises(InvalidArgumentError):
@@ -95,7 +115,8 @@ class TestRidge:
 
     def test_curvature_regularizer_only(self):
         obj = ridge(np.zeros((3, 2)), np.zeros(3), lam=1.0)
-        np.testing.assert_array_equal(obj.curvature(np.zeros(2)), np.eye(2))
+        np.testing.assert_array_equal(obj.block_curvature(np.zeros(2), whole(2))[0][0],
+                                      np.eye(2))
 
     def test_optimum_scalar_per_coordinate(self):
         # A = I, y = e1, lambda = 1: x* = e1/2, f* = 1/4
@@ -109,8 +130,8 @@ class TestRidge:
         rng = np.random.default_rng(3)
         a, y, _ = random_glm_data(rng)
         obj = ridge(a, y, lam=0.5)
-        q0 = obj.curvature(np.zeros(obj.n))
-        q1 = obj.curvature(rng.standard_normal(obj.n))
+        q0 = obj.block_curvature(np.zeros(obj.n), whole(obj.n))[0][0]
+        q1 = obj.block_curvature(rng.standard_normal(obj.n), whole(obj.n))[0][0]
         np.testing.assert_array_equal(q0, q1)
 
     def test_sparse_matches_dense(self):
@@ -122,7 +143,8 @@ class TestRidge:
         x = rng.standard_normal(dense.n)
         assert dense.value(x) == pytest.approx(sparse.value(x), rel=1e-12)
         np.testing.assert_allclose(dense.gradient(x), sparse.gradient(x), rtol=1e-12)
-        np.testing.assert_allclose(dense.curvature(x), sparse.curvature(x), rtol=1e-12)
+        np.testing.assert_allclose(dense.block_curvature(x, whole(dense.n))[0][0],
+                                   sparse.block_curvature(x, whole(dense.n))[0][0], rtol=1e-12)
 
     def test_rank_deficient_unregularized_optimum_rejected(self):
         a = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -154,10 +176,11 @@ class TestLogistic:
         a, _, y = random_glm_data(rng)
         obj = logistic(a, y, lam=0.2)
         expected = 0.25 * a.T @ a + 0.2 * np.eye(obj.n)
-        np.testing.assert_allclose(obj.curvature(np.zeros(obj.n), EXACT_HESSIAN),
+        part = whole(obj.n)
+        np.testing.assert_allclose(obj.block_curvature(np.zeros(obj.n), part, EXACT_HESSIAN)[0][0],
                                    expected, rtol=1e-12)
-        np.testing.assert_allclose(obj.curvature(rng.standard_normal(obj.n),
-                                                 SMOOTHNESS_BOUND),
+        np.testing.assert_allclose(obj.block_curvature(rng.standard_normal(obj.n), part,
+                                                       SMOOTHNESS_BOUND)[0][0],
                                    expected, rtol=1e-12)
 
     def test_smoothness_bound_dominates_exact(self):
@@ -166,7 +189,8 @@ class TestLogistic:
         obj = logistic(a, y, lam=0.1)
         for _ in range(10):
             x = 3.0 * rng.standard_normal(obj.n)
-            gap = obj.curvature(x, SMOOTHNESS_BOUND) - obj.curvature(x, EXACT_HESSIAN)
+            gap = obj.block_curvature(x, whole(obj.n), SMOOTHNESS_BOUND)[0][0] \
+                - obj.block_curvature(x, whole(obj.n), EXACT_HESSIAN)[0][0]
             assert np.linalg.eigvalsh(gap)[0] >= -1e-12
 
     def test_finite_for_huge_margins(self):
@@ -224,10 +248,13 @@ class TestBlockCurvature:
             a[np.abs(a) < 0.15] = 0.0
             a = scipy.sparse.csr_matrix(a)
         obj = ridge(a, y_real, lam=lam) if loss == "squared" else logistic(a, y_pm, lam=lam)
+        # the constant blocks are bit-identical to slices of gamma_ell G + lambda I built
+        # from the same Gram; the dense Gram of a sparse A differs from it at roundoff
+        constant = obj.gamma_loss * gram_matrix(a) + lam * np.eye(obj.n)
         for k in (2, 4):
             part = sample_uniform_partition(obj.n, k, seed=k)
             x = rng.standard_normal(obj.n)
-            full = obj.curvature(x, model)
+            full = dense_curvature(obj, a, x, model)
             stacks = obj.block_curvature(x, part, model)
             assert len(stacks) == len(part.stacks())
             assert sum(len(stack) for stack in stacks) == k
@@ -235,7 +262,7 @@ class TestBlockCurvature:
                 for i, block in zip(idx, stack):
                     want = full[np.ix_(i, i)]
                     if obj.curvature_is_constant(model):
-                        np.testing.assert_array_equal(block, want)
+                        np.testing.assert_array_equal(block, constant[np.ix_(i, i)])
                     assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_quadratic_blocks_are_bit_identical(self):
@@ -262,15 +289,16 @@ class TestBlockCurvature:
             a[np.abs(a) < 0.15] = 0.0
             a = scipy.sparse.csr_matrix(a)
         obj = ridge(a, y_real, lam=0.3) if loss == "squared" else logistic(a, y_pm, lam=0.3)
+        constant = obj.gamma_loss * gram_matrix(a) + obj.lam * np.eye(obj.n)
         for k in (2, 4):
             part = sample_uniform_partition(obj.n, k, seed=k)
             x, g = rng.standard_normal(obj.n), rng.standard_normal(obj.n)
-            full = obj.curvature(x, model)
             root_w = np.sqrt(obj._hessian_weights(x))[:, None] if loss == "logistic" else None
             want = np.empty(obj.n)
-            for idx in part.blocks():
+            for label in range(k):
+                idx = np.flatnonzero(part.assignment == label)
                 if obj.curvature_is_constant(model):
-                    block = full[np.ix_(idx, idx)]
+                    block = constant[np.ix_(idx, idx)]
                 else:  # the exact logistic Hessian, one column slice at a time
                     cols = obj._columns[:, idx]
                     cols = cols.toarray() if sparse else cols
@@ -312,7 +340,7 @@ class TestBlockCurvature:
         part = sample_uniform_partition(obj.n, 3, seed=1)
         x = rng.standard_normal(obj.n)
         with pytest.raises(SingularBlockError) as full:
-            BlockCholesky(diagonal_blocks(obj.curvature(x, model), part), part)
+            BlockCholesky(diagonal_blocks(dense_curvature(obj, a, x, model), part), part)
         with pytest.raises(SingularBlockError) as local:
             BlockCholesky(obj.block_curvature(x, part, model), part)
         assert local.value.block == full.value.block == part.assignment[5]

@@ -242,20 +242,23 @@ class TestRun:
         rng = np.random.default_rng(22)
         a = rng.standard_normal((40, 12))
         obj = logistic(a, np.where(rng.standard_normal(40) >= 0, 1.0, -1.0), lam=1.0)
-        obj.optimum()  # the Newton reference forms full Hessians; run() forms none
-        calls = {"curvature": 0, "gradient": 0}
+        obj.optimum()  # the Newton reference forms one-block Hessians; run() forms none
+        calls = {"blocks per curvature": [], "gradient": 0}
+        block_curvature, gradient = Glm.block_curvature, Glm.gradient
 
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_block_curvature(self, x, part, model):
+            calls["blocks per curvature"].append(part.k_blocks)
+            return block_curvature(self, x, part, model)
 
-        monkeypatch.setattr(Glm, "curvature", counted("curvature", Glm.curvature))
-        monkeypatch.setattr(Glm, "gradient", counted("gradient", Glm.gradient))
+        def counted_gradient(self, x):
+            calls["gradient"] += 1
+            return gradient(self, x)
+
+        monkeypatch.setattr(Glm, "block_curvature", counted_block_curvature)
+        monkeypatch.setattr(Glm, "gradient", counted_gradient)
         run(obj, SolverConfig(k_blocks=3, scheme=scheme, seed=4, n_iters=7,
                               model=EXACT_HESSIAN, step=step))
-        assert calls == {"curvature": 0, "gradient": 8}
+        assert calls == {"blocks per curvature": [3] * 7, "gradient": 8}
 
     def test_run_repeats_fills_lazy_caches_once(self, monkeypatch):
         # Slow counting wrappers widen the window in which concurrent
