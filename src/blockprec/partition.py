@@ -7,6 +7,12 @@ makes linear solves against the masked matrix decompose into independent
 per-block solves. The blocks of one size form a stack: diagonal blocks
 travel as one (K_s, s, s) array per block size s, gathered by one flat
 take, checked in one vectorized pass and factored by one batched Cholesky.
+
+Sampled partitionings come from a counter-based draw: coordinate j of the
+draw with seed d gets the key SplitMix64(d + (j+1) * 0x9E3779B97F4A7C15
+mod 2^64), the coordinates sorted by key form a permutation, and the
+permutation is cut into blocks. Each draw is a pure function of its seed,
+and any number of draws is one vectorized pass over an (S, n) array.
 """
 
 import itertools
@@ -122,28 +128,48 @@ class Partitioning:
 
 
 def sample_uniform_partition(n: int, k: int, seed: int) -> Partitioning:
-    """Draw a uniformly random partitioning with near-equal block sizes.
+    """Draw a random partitioning with near-equal block sizes.
 
-    A random permutation of the n indices is cut into K consecutive chunks
-    of size ceil(n/K) or floor(n/K) (the first n mod K chunks take the
-    larger size), which is uniform over all such assignments. Deterministic
-    given ``seed``.
+    Coordinate j gets the key ``splitmix64(seed + (j+1) * 0x9E3779B97F4A7C15
+    mod 2^64)``; the coordinates in ascending key order form a permutation,
+    which is cut into K consecutive chunks of size ceil(n/K) or floor(n/K)
+    (the first n mod K chunks take the larger size). The finalizer is a
+    bijection on 64-bit words, so no two keys tie. Over seeds the draw is
+    uniform over all such assignments up to the quality of the hash.
+    Deterministic given ``seed``, an integer in [0, 2^64).
     """
+    check_seed(seed)
     return Partitioning(_sample_assignments(n, k, [seed])[0], k)
 
 
+_GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(z):
+    """The SplitMix64 finalizer of a uint64 array, in place; wraps modulo 2^64."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _sample_assignments(n: int, k: int, seeds):
-    """(len(seeds), n) block assignments; row i is the one drawn from seeds[i]."""
+    """(len(seeds), n) block assignments; row i is ``sample_uniform_partition(n, k, seeds[i])``.
+
+    The seeds are not checked here: callers pass checked or derived seeds.
+    """
     if n < 1:
         raise InvalidArgumentError(f"n must be positive, got {n}")
     if k < 1 or k > n:
         raise InvalidArgumentError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     base, extra = divmod(n, k)
     labels = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
-    out = np.empty((len(seeds), n), dtype=np.intp)
-    for row, seed in zip(out, seeds):
-        check_seed(seed)
-        row[np.random.default_rng(seed).permutation(n)] = labels
+    counters = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_GAMMA
+    keys = _splitmix64(np.array(seeds, dtype=np.uint64)[:, None] + counters)
+    out = np.empty(keys.shape, dtype=np.intp)
+    np.put_along_axis(out, np.argsort(keys, axis=1, kind="stable"), labels, axis=1)
     return out
 
 

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockprec import gen_separable_q, gen_uniform_q, load_q, save_q
+from blockprec import (
+    derive_seed,
+    gen_separable_q,
+    gen_uniform_q,
+    load_q,
+    sample_uniform_partition,
+    save_q,
+)
 from blockprec.cli import main
 
 
@@ -173,14 +180,17 @@ class TestSpectral:
 
     def test_singular_block_of_the_mean_exit_3(self, tmp_path, capsys):
         # the one distribution partitioning keeps coordinates 0 and 1 apart, the mean's joins them
+        spread = sample_uniform_partition(6, 2, derive_seed(derive_seed(0, 0), 0)).assignment
+        joined = sample_uniform_partition(6, 2, derive_seed(derive_seed(0, 1), 0)).assignment
+        assert spread[0] != spread[1] and joined[0] == joined[1]
         save_q(tmp_path / "indef.q", indefinite_q(), {"kind": "custom"})
         capsys.readouterr()
         code = run_cli("spectral", "--q", tmp_path / "indef.q", "--k", 2, "--samples", 1,
                        "--seed", 0, "--out", tmp_path / "rep")
         err = capsys.readouterr().err
         assert code == 3
-        assert err == ("blockprec: numerical failure: block 1 (size 3) is not positive "
-                       "definite; consider a positive jitter\n")
+        assert err == (f"blockprec: numerical failure: block {joined[0]} (size 3) is not "
+                       "positive definite; consider a positive jitter\n")
         assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.parametrize("samples", [0, -3])
@@ -361,8 +371,10 @@ class TestSolve:
     def test_divergence_keeps_completed_repeats(self, tmp_path):
         # Static runs on the 4x4 separable toy at eta = 1.9: the partitioning
         # aligned with the blocks converges (Q_P = Q), a misaligned one
-        # (Q_P = I) diverges. With seed 11, repeats 0 and 1 draw aligned
+        # (Q_P = I) diverges. With seed 0, repeats 0 and 1 draw aligned
         # partitionings and repeat 2 a misaligned one.
+        drawn = [sample_uniform_partition(4, 2, derive_seed(0, r)).assignment for r in range(3)]
+        assert [a[0] == a[1] and a[2] == a[3] for a in drawn] == [True, True, False]
         qfile = tmp_path / "s"
         run_cli("gen", "--kind", "separable", "--n", 4, "--k", 2, "--alpha", 0.9,
                 "--seed", 0, "--out", qfile)
@@ -371,7 +383,7 @@ class TestSolve:
             out = tmp_path / f"run{threads}"
             assert run_cli("solve", "--objective", "quadratic", "--q", str(qfile) + ".q",
                            "--k", 2, "--scheme", "static", "--t", 500, "--eta", 1.9,
-                           "--repeats", 4, "--threads", threads, "--seed", 11,
+                           "--repeats", 4, "--threads", threads, "--seed", 0,
                            "--out", out) == 3
             outputs[threads] = (tmp_path / f"run{threads}_static.json").read_text()
             _, rows = read_csv_rows(tmp_path / f"run{threads}_static_runs.csv")

@@ -20,6 +20,42 @@ from blockprec import (
 )
 from blockprec.partition import _sample_assignments
 
+# numpy warns when uint64 scalar arithmetic overflows; the sampler must wrap silently
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+MASK64 = 2**64 - 1
+
+
+def splitmix64(z):
+    """The SplitMix64 finalizer on a Python int, masked to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def splitmix64_assignment(n, k, seed):
+    """The documented draw, one coordinate at a time on Python ints masked to 64 bits."""
+    def key(j):
+        return splitmix64((seed + (j + 1) * 0x9E3779B97F4A7C15) & MASK64)
+
+    perm = sorted(range(n), key=key)
+    base, extra = divmod(n, k)
+    assignment = [0] * n
+    start = 0
+    for block in range(k):
+        size = base + (1 if block < extra else 0)
+        for i in perm[start:start + size]:
+            assignment[i] = block
+        start += size
+    return assignment
+
+
+def canonical_labels(rows, k):
+    """Relabel each row's blocks in order of first occurrence."""
+    first = np.argmax(rows[:, None, :] == np.arange(k)[:, None], axis=2)
+    rank = np.argsort(np.argsort(first, axis=1), axis=1)
+    return np.take_along_axis(rank, rows, axis=1)
+
 
 def random_spd(n, rng, ridge=0.1):
     g = rng.standard_normal((n, 2 * n))
@@ -60,26 +96,27 @@ class TestSampling:
         c = sample_uniform_partition(200, 5, seed=8)
         assert a != c
 
-    def test_matches_the_per_block_loop(self):
-        # the assignment before it was vectorized: a permutation cut into K
-        # consecutive chunks, the first n mod K of them one longer
-        def loop_assignment(n, k, seed):
-            perm = np.random.default_rng(seed).permutation(n)
-            base, extra = divmod(n, k)
-            assignment = np.empty(n, dtype=np.intp)
-            start = 0
-            for block in range(k):
-                size = base + (1 if block < extra else 0)
-                assignment[perm[start:start + size]] = block
-                start += size
-            return assignment
-
+    def test_matches_the_scalar_splitmix64_reference(self):
+        # Python ints masked to 64 bits: an oracle for the uint64 wrap-around
         for n in range(1, 14):
             for k in range(1, n + 1):
                 for seed in (0, 1, 7, 2**63, 2**64 - 1):
                     got = sample_uniform_partition(n, k, seed).assignment
                     assert got.dtype == np.intp
-                    np.testing.assert_array_equal(got, loop_assignment(n, k, seed))
+                    assert got.tolist() == splitmix64_assignment(n, k, seed)
+
+    def test_reference_reproduces_the_published_splitmix64_outputs(self):
+        # SplitMix64 from state 0 outputs 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...:
+        # the keys of coordinates 0 and 1 of the draw with seed 0
+        gamma = 0x9E3779B97F4A7C15
+        assert [splitmix64(gamma), splitmix64(2 * gamma & MASK64)] == \
+            [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+        assert sample_uniform_partition(2, 2, 0).assignment.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64])
+    def test_invalid_seed_rejected(self, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must"):
+            sample_uniform_partition(4, 2, seed)
 
     def test_array_sampler_matches_single_draws(self):
         # one (S, n) draw equals S single draws, row by row, bit for bit
@@ -100,14 +137,34 @@ class TestSampling:
     def test_block_membership_uniform_chi_square(self):
         # every coordinate should land in each block with frequency 1/K
         n, k, draws = 6, 3, 10_000
-        counts = np.zeros((n, k))
-        for s in range(draws):
-            part = sample_uniform_partition(n, k, seed=s)
-            counts[np.arange(n), part.assignment] += 1
+        rows = _sample_assignments(n, k, range(draws))
+        counts = np.stack([np.bincount(col, minlength=k) for col in rows.T])
         crit = scipy.stats.chi2.ppf(0.999, df=k - 1)
         for i in range(n):
             stat = np.sum((counts[i] - draws / k) ** 2 / (draws / k))
             assert stat < crit
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_partitionings_uniform_chi_square(self, k):
+        # all 10 (K=2) or 15 (K=3) partitionings of 6 coordinates, equally often
+        n, draws = 6, 30_000
+        rows, counts = np.unique(canonical_labels(_sample_assignments(n, k, range(draws)), k),
+                                 axis=0, return_counts=True)
+        assert len(rows) == partition_count(n, k)
+        expected = draws / len(rows)
+        stat = np.sum((counts - expected) ** 2 / expected)
+        assert stat < scipy.stats.chi2.ppf(0.999, df=len(rows) - 1)
+
+    def test_pair_co_occurrence_matches_exact_probability(self):
+        # blocks of sizes 4, 3, 3, 3: P(i, j share a block) = sum s(s-1) / (n(n-1)) = 30/156;
+        # |z| < 4.5 on each of the 78 pairs keeps the family-wise false alarm rate below 1e-3
+        n, k, draws = 13, 4, 60_000
+        onehot = np.eye(k)[_sample_assignments(n, k, range(draws))]
+        together = np.einsum("dik,djk->ij", onehot, onehot)[np.triu_indices(n, 1)]
+        p = 30 / 156
+        z = (together - draws * p) / np.sqrt(draws * p * (1 - p))
+        assert len(z) == 78
+        assert np.abs(z).max() < 4.5
 
     def test_empty_block_rejected(self):
         with pytest.raises(InvalidArgumentError):
