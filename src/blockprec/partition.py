@@ -4,8 +4,9 @@ A partitioning splits the n coordinate indices into K disjoint, non-empty
 blocks. Masking a symmetric matrix by a partitioning keeps the entries
 whose row and column fall in the same block and zeroes the rest, which
 makes linear solves against the masked matrix decompose into independent
-per-block solves. The blocks of one size form a stack: diagonal blocks
-travel as one (K_s, s, s) array per block size s, gathered by one flat
+per-block solves. One layout, for one partitioning or the rows of an (S, n)
+assignment array alike, groups the blocks of one size into a stack: diagonal
+blocks travel as one (K_s, s, s) array per block size s, gathered by one flat
 take, checked in one vectorized pass and factored by one batched Cholesky.
 
 Sampled partitionings come from a counter-based draw: coordinate j of the
@@ -24,7 +25,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dpotrs
 
 from .errors import EnumerationCapError, InvalidArgumentError, SingularBlockError
-from .seeding import check_seed
+from .seeding import _check_integer, check_seed
 
 SYMMETRY_TOL = 1e-10
 
@@ -69,7 +70,7 @@ class Partitioning:
 
     def __post_init__(self):
         assignment = np.asarray(self.assignment)
-        if self.k_blocks < 1:
+        if _check_integer(self.k_blocks, "k_blocks") < 1:
             raise InvalidArgumentError("k_blocks must be positive")
         if assignment.ndim != 1 or assignment.size == 0:
             raise InvalidArgumentError("assignment must be a non-empty 1-d sequence")
@@ -96,27 +97,14 @@ class Partitioning:
 
         ``labels`` holds the labels of the blocks of size s, ascending, and
         ``idx`` their coordinates as a (len(labels), s) array, one row per
-        block, ascending within a row. Computed on the first call and shared
-        by every later one, so the arrays are read-only.
+        block, ascending within a row: ``_block_layout`` of one row, computed
+        on the first call and shared by every later one, so read-only.
         """
         stacks = self.__dict__.get("_stacks")
         if stacks is None:
-            sizes = self.block_sizes()
-            order = np.argsort(self.assignment, kind="stable")
-            starts = np.cumsum(sizes) - sizes
-            stacks = []
-            for size in np.unique(sizes):
-                labels = np.flatnonzero(sizes == size)
-                idx = order[starts[labels, None] + np.arange(size)]
-                labels.setflags(write=False)
-                idx.setflags(write=False)
-                stacks.append((labels, idx))
-            stacks = tuple(stacks)
+            stacks = _block_layout(self.assignment[None, :])
             object.__setattr__(self, "_stacks", stacks)
         return stacks
-
-    def block_sizes(self):
-        return np.bincount(self.assignment, minlength=self.k_blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Partitioning):
@@ -125,6 +113,31 @@ class Partitioning:
 
     def __hash__(self):
         return hash((self.k_blocks, self.assignment.tobytes()))
+
+
+def _block_layout(assignments):
+    """Read-only ``(ids, idx)`` per block size, smallest first, for an (S, n) assignment array.
+
+    Block j of row r has the id r*n + j. ``ids`` ascend, and row b of ``idx``
+    lists the coordinates of block ``ids[b]``, ascending.
+    """
+    rows, n = assignments.shape
+    ids = (assignments + n * np.arange(rows)[:, None]).ravel()
+    order = np.argsort(ids, kind="stable") % n
+    sizes = np.bincount(ids)
+    starts = np.cumsum(sizes) - sizes
+    layout = []
+    for size in np.unique(sizes[sizes > 0]):
+        block_ids = np.flatnonzero(sizes == size)
+        layout.append((block_ids, order[starts[block_ids, None] + np.arange(size)]))
+    for array in itertools.chain(*layout):
+        array.setflags(write=False)
+    return tuple(layout)
+
+
+def _flat_indices(idx, n):
+    """Indices n*i + j into an n x n ``ravel()`` of the (K_s, s, s) blocks on (K_s, s) ``idx``."""
+    return idx[:, :, None] * n + idx[:, None, :]
 
 
 def sample_uniform_partition(n: int, k: int, seed: int) -> Partitioning:
@@ -160,9 +173,7 @@ def _sample_assignments(n: int, k: int, seeds):
 
     The seeds are not checked here: callers pass checked or derived seeds.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be positive, got {n}")
-    if k < 1 or k > n:
+    if not 1 <= _check_integer(k, "k") <= _check_integer(n, "n"):
         raise InvalidArgumentError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
     base, extra = divmod(n, k)
     labels = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
@@ -175,7 +186,7 @@ def _sample_assignments(n: int, k: int, seeds):
 
 def partition_count(n: int, k: int) -> int:
     """Number of unordered partitionings of n indices into K equal blocks."""
-    if k < 1 or n % k != 0:
+    if _check_integer(k, "k") < 1 or _check_integer(n, "n") % k != 0:
         raise InvalidArgumentError(f"k must divide n, got n={n}, k={k}")
     nk = n // k
     return math.factorial(n) // (math.factorial(nk) ** k * math.factorial(k))
@@ -242,7 +253,7 @@ def diagonal_blocks(q, part: Partitioning):
     """
     q = _check_dims(q, part)
     flat = q.ravel()
-    return [flat.take(idx[:, :, None] * part.n + idx[:, None, :]) for _, idx in part.stacks()]
+    return [flat.take(_flat_indices(idx, part.n)) for _, idx in part.stacks()]
 
 
 def _bad_entries(stack, tol):

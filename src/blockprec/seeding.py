@@ -19,13 +19,17 @@ _DOMAIN = b"blockprec.seed.v1"
 MAX_SEED = 2**64 - 1
 
 
+def _check_integer(value, name):
+    """``value`` as an int; InvalidArgumentError unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed):
     """Raise InvalidArgumentError unless ``seed`` is an integer in [0, 2^64)."""
-    try:
-        operator.index(seed)
-    except TypeError:
-        raise InvalidArgumentError(f"seed must be an integer, got {seed!r}") from None
-    if not 0 <= seed <= MAX_SEED:
+    if not 0 <= _check_integer(seed, "seed") <= MAX_SEED:
         raise InvalidArgumentError(f"seed must lie in [0, 2^64), got {seed}")
 
 

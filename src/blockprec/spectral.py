@@ -15,17 +15,17 @@ matrix R X R^T similar to it, with Q = R^T R factored once per call however
 many matrices X it serves: X = Q_P^{-1} for each partitioning of a report's
 distribution, and X = E, a mean of Q_P^{-1}, for an expectation. Both come
 from one kernel of diagonal-block inverses: a batched Cholesky per stack of
-same-size blocks, then a triangular inverse per block. A single lambda_min
-comes from a subset eigensolve that reads one triangle; a Monte Carlo
-estimate takes one, and its standard error one batched solve per stack of
-the same diagonal blocks. A report runs its mean as one more task on the
-pool of its distribution's chunks. Those chunks take one of two paths,
-chosen by the chunk size alone: a chunk of several partitionings (n < 182)
-keeps one batched full eigensolve, while a chunk of one (n >= 182) takes
-its lambda_min as 1/theta_max of R^{-T} Q_P R^{-1} by Lanczos, from
-products with R^{-1} and Q_P and no n x n slab, since forming R X R^T alone
-costs 4n^3 flops there. ``lambda_min_precond`` takes one partitioning's
-lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
+same-size blocks (partition's one block layout), then a triangular inverse
+per block. A single lambda_min comes from a subset eigensolve that reads one
+triangle; a Monte Carlo estimate takes one, and its standard error one
+batched solve per stack of the same diagonal blocks. A report runs its mean
+as one more task on the pool of its distribution's chunks. Those chunks take
+one of two paths, chosen by the chunk size alone: a chunk of several
+partitionings (n < 182) keeps one batched full eigensolve, while a chunk of
+one (n >= 182) takes its lambda_min as 1/theta_max of R^{-T} Q_P R^{-1} by
+Lanczos, from products with R^{-1} and Q_P and no n x n slab, since forming
+R X R^T alone costs 4n^3 flops there. ``lambda_min_precond`` takes one
+partitioning's lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
 """
 
 import json
@@ -45,7 +45,9 @@ from .partition import (
     DEFAULT_ENUMERATION_CAP,
     BlockCholesky,
     Partitioning,
+    _block_layout,
     _enumerate_assignments,
+    _flat_indices,
     _sample_assignments,
     check_symmetric_matrix,
     diagonal_blocks,
@@ -105,28 +107,16 @@ def _factor(q, assignments):
 
 
 def _block_stacks(q, assignments):
-    """Yield (row, idx, where) per chunk and block size for an assignment array.
+    """Yield (row, idx, where) per stack of ``_block_layout`` over chunks of ``assignments``.
 
-    Rows are taken in chunks of at most max(n^2, 2^16) stacked entries.
-    Within a chunk, coordinates are ordered by (block size, chunk-wide block
-    id), ascending within a block, so the blocks of each size form one stack:
-    ``idx`` holds their coordinates, ``where`` the flat indices n*i + j at
-    which ``q.ravel()`` gathers them, and ``row`` the row of ``assignments``
-    each block belongs to.
+    A chunk stacks at most max(n^2, 2^16) entries, counted on the first row;
+    ``where`` holds the blocks' flat indices into ``q.ravel()``, ``row`` their rows.
     """
     n = q.shape[0]
-    step = _chunk_rows(n, int(np.sum(np.bincount(assignments[0]) ** 2)))
+    step = _chunk_rows(n, sum(idx.size * idx.shape[1] for _, idx in _block_layout(assignments[:1])))
     for start in range(0, len(assignments), step):
-        chunk = assignments[start:start + step]
-        ids = (chunk + n * np.arange(len(chunk))[:, None]).ravel()
-        sizes = np.bincount(ids)[ids]
-        order = np.lexsort((ids, sizes))
-        sizes = sizes[order]
-        for size in np.unique(sizes):
-            flat = order[sizes == size].reshape(-1, size)
-            idx = flat % n
-            where = idx[:, :, None] * n + idx[:, None, :]
-            yield start + flat[:, 0] // n, idx, where
+        for ids, idx in _block_layout(assignments[start:start + step]):
+            yield start + ids // n, idx, _flat_indices(idx, n)
 
 
 def _block_inverses(q, assignments):
@@ -257,12 +247,6 @@ def expected_lambda_mc(q, k_blocks: int, n_samples: int, seed: int):
     q = check_symmetric_matrix(q)
     assignments = _sample_assignments(q.shape[0], k_blocks, _sample_seeds(n_samples, seed))
     return _lambda_mc(q, _factor(q, assignments), assignments)
-
-
-def expected_inverse_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP):
-    """Exact mean of Q_P^{-1} over all equal-size partitionings."""
-    q = check_symmetric_matrix(q)
-    return _mean_inverse(q, _enumerate_assignments(q.shape[0], k_blocks, cap))
 
 
 def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) -> float:

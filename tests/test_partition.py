@@ -18,7 +18,7 @@ from blockprec import (
     partition_count,
     sample_uniform_partition,
 )
-from blockprec.partition import _sample_assignments
+from blockprec.partition import _block_layout, _sample_assignments
 
 # numpy warns when uint64 scalar arithmetic overflows; the sampler must wrap silently
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -65,7 +65,7 @@ def random_spd(n, rng, ridge=0.1):
 class TestSampling:
     def test_forced_sizes_n4_k2(self):
         part = sample_uniform_partition(4, 2, seed=0)
-        assert sorted(part.block_sizes()) == [2, 2]
+        assert sorted(np.bincount(part.assignment, minlength=part.k_blocks)) == [2, 2]
         assert sorted(np.concatenate([idx.ravel() for _, idx in part.stacks()])) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("assignment", [[2, 0, 1, 0, 2, 0], [0, 1, 1, 0, 2, 1, 2]])
@@ -73,7 +73,7 @@ class TestSampling:
         part = Partitioning(np.array(assignment), 3)
         assert part.stacks() is part.stacks()
         sizes = [idx.shape[1] for _, idx in part.stacks()]
-        assert sizes == sorted(set(part.block_sizes()))
+        assert sizes == sorted(set(np.bincount(part.assignment, minlength=part.k_blocks)))
         labels = np.concatenate([labels for labels, _ in part.stacks()])
         assert sorted(labels) == [0, 1, 2]
         for labels, idx in part.stacks():
@@ -87,7 +87,7 @@ class TestSampling:
 
     def test_forced_sizes_n5_k2(self):
         part = sample_uniform_partition(5, 2, seed=3)
-        assert sorted(part.block_sizes()) == [2, 3]
+        assert sorted(np.bincount(part.assignment, minlength=part.k_blocks)) == [2, 3]
 
     def test_deterministic_given_seed(self):
         a = sample_uniform_partition(200, 5, seed=7)
@@ -174,6 +174,47 @@ class TestSampling:
     def test_labels_must_be_integers_in_range(self, assignment):
         with pytest.raises(InvalidArgumentError, match="block labels must"):
             Partitioning(np.array(assignment), 2)
+
+    @pytest.mark.parametrize("make,name", [
+        (lambda: Partitioning(np.array([0, 1]), 2.5), "k_blocks"),
+        (lambda: sample_uniform_partition(5.0, 2, 0), "n"),
+        (lambda: sample_uniform_partition(5, 2.0, 0), "k"),
+        (lambda: enumerate_partitions(4, 2.0), "k"),
+        (lambda: enumerate_partitions(4.0, 2), "n"),
+    ])
+    def test_counts_must_be_integers(self, make, name):
+        with pytest.raises(InvalidArgumentError, match=f"^{name} must be an integer, got "):
+            make()
+
+
+class TestBlockLayout:
+    def test_many_rows_match_each_rows_stacks(self):
+        # random surjections with uneven sizes and labels out of order; rows differ in sizes
+        rng = np.random.default_rng(18)
+        for _ in range(60):
+            rows, n = int(rng.integers(1, 21)), int(rng.integers(1, 41))
+            k = int(rng.integers(1, n + 1))
+            a = rng.integers(0, k, size=(rows, n))
+            for row in a:
+                row[rng.permutation(n)[:k]] = rng.permutation(k)
+            layout = _block_layout(a)
+            sizes = [idx.shape[1] for _, idx in layout]
+            assert sizes == sorted(set(sizes))
+            for ids, idx in layout:
+                assert ids.dtype == idx.dtype == np.intp
+                assert np.all(np.diff(ids) > 0)
+                for block, coords in zip(ids, idx):
+                    row, label = divmod(block, n)
+                    np.testing.assert_array_equal(coords, np.flatnonzero(a[row] == label))
+            for r in range(rows):
+                want = Partitioning(a[r], k).stacks()
+                got = [(ids[ids // n == r] - r * n, idx[ids // n == r]) for ids, idx in layout]
+                got = [(ids, idx) for ids, idx in got if len(ids)]
+                assert len(got) == len(want)
+                for (got_ids, got_idx), (labels, idx) in zip(got, want):
+                    assert got_ids.dtype == got_idx.dtype == labels.dtype == idx.dtype == np.intp
+                    np.testing.assert_array_equal(got_ids, labels)
+                    np.testing.assert_array_equal(got_idx, idx)
 
 
 class TestEnumeration:
@@ -395,7 +436,8 @@ class TestStackedSolve:
             k = int(rng.choice([k for k in range(2, n) if n % k]))
             parts.append(sample_uniform_partition(n, k, seed=trial))
         for part in parts:
-            assert len(part.stacks()) == len(set(part.block_sizes()))
+            sizes = np.bincount(part.assignment, minlength=part.k_blocks)
+            assert len(part.stacks()) == len(set(sizes))
             q = random_spd(part.n, rng)
             g = rng.standard_normal(part.n)
             got = BlockCholesky(diagonal_blocks(q, part), part, jitter=jitter).solve(g)
@@ -482,7 +524,7 @@ def test_sampled_partitions_are_near_uniform_and_mask_idempotent(n, data):
     k = data.draw(st.integers(1, n))
     seed = data.draw(st.integers(0, 2**32 - 1))
     part = sample_uniform_partition(n, k, seed)
-    sizes = part.block_sizes()
+    sizes = np.bincount(part.assignment, minlength=part.k_blocks)
     assert sizes.sum() == n
     assert sizes.max() - sizes.min() <= 1
     rng = np.random.default_rng(seed)

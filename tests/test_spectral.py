@@ -37,11 +37,11 @@ from blockprec import (
     uniform_closed_form,
 )
 from blockprec import spectral
+from blockprec.partition import DEFAULT_ENUMERATION_CAP, _enumerate_assignments
 from blockprec.spectral import (
     _block_inverses,
     _lambda_min_stack,
     _mean_inverse,
-    expected_inverse_exact,
     lambda_min_of_expected,
 )
 
@@ -97,6 +97,28 @@ class TestLambdaMinPrecond:
         part = Partitioning(np.array([0, 0]), 1)
         with pytest.raises(SingularBlockError):
             lambda_min_precond(q, part)
+
+    def test_one_block_cholesky_and_no_stacked_kernel(self, monkeypatch):
+        # the per-partitioning reference shares no code with the stacked spectral kernels
+        built = []
+        init = BlockCholesky.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def unreachable(*args):
+            raise AssertionError("lambda_min_precond reached a stacked spectral kernel")
+
+        monkeypatch.setattr(BlockCholesky, "__init__", counted)
+        monkeypatch.setattr(spectral, "_block_inverses", unreachable)
+        monkeypatch.setattr(spectral, "_block_stacks", unreachable)
+        q = random_spd(9, np.random.default_rng(11))
+        part = Partitioning(np.array([2, 0, 1, 0, 2, 0, 1, 1, 0]), 3)
+        got = lambda_min_precond(q, part)
+        assert len(built) == 1
+        want = scipy.linalg.eigh(q, block_mask(q, part), eigvals_only=True, subset_by_index=[0, 0])
+        assert got == pytest.approx(want[0], rel=1e-10)
 
 
 class TestExpectedLambda:
@@ -253,7 +275,7 @@ class TestRates:
         a = random_spd(6, rng)
         gram = a.T @ a
         rho = rate_glm(a, 2.0, 0.5, enumerate_partitions(6, 2))
-        expected_inv = expected_inverse_exact(gram, 2)
+        expected_inv = _mean_inverse(gram, _enumerate_assignments(6, 2, DEFAULT_ENUMERATION_CAP))
         lam = lambda_min_of_expected(expected_inv, scipy.linalg.cholesky(gram))
         assert rho == pytest.approx(0.5 / (2 * 2.0) * lam, rel=1e-8)
 
@@ -372,7 +394,7 @@ class TestRates:
         gamma = 0.25
         params = GeneralModelParams(xi=1.0)
         got = rate_general(gamma * m, enumerate_partitions(6, 2), params)
-        expected_inv = expected_inverse_exact(m, 2)
+        expected_inv = _mean_inverse(m, _enumerate_assignments(6, 2, DEFAULT_ENUMERATION_CAP))
         prod = m @ expected_inv @ m
         lam = np.linalg.eigvalsh(0.5 * (prod + prod.T))[0]
         assert got.rho == pytest.approx(gamma / (2 * 2) * lam, rel=1e-10)
@@ -606,7 +628,8 @@ class TestMeanInverseKernel:
         k = data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
         q = random_spd(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
         want = dense_mean_inverse(q, enumerate_partitions(n, k))
-        np.testing.assert_allclose(expected_inverse_exact(q, k), want, rtol=1e-10, atol=1e-12)
+        got = _mean_inverse(q, _enumerate_assignments(n, k, DEFAULT_ENUMERATION_CAP))
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(2, 24), data=st.data())
@@ -625,8 +648,8 @@ class TestMeanInverseKernel:
         q = random_spd(12, np.random.default_rng(3))
         parts = enumerate_partitions(12, 3)
         assert len(parts) * 3 * 16 > 4 * 2**16
-        np.testing.assert_allclose(expected_inverse_exact(q, 3), dense_mean_inverse(q, parts),
-                                   rtol=1e-10, atol=1e-12)
+        got = _mean_inverse(q, _enumerate_assignments(12, 3, DEFAULT_ENUMERATION_CAP))
+        np.testing.assert_allclose(got, dense_mean_inverse(q, parts), rtol=1e-10, atol=1e-12)
 
     def test_singular_block_named_as_block_cholesky_names_it(self):
         q = np.eye(4)
@@ -635,7 +658,7 @@ class TestMeanInverseKernel:
         with pytest.raises(SingularBlockError) as direct:
             BlockCholesky(diagonal_blocks(q, first), first)
         with pytest.raises(SingularBlockError) as exact:
-            expected_inverse_exact(q, 2)
+            _mean_inverse(q, _enumerate_assignments(4, 2, DEFAULT_ENUMERATION_CAP))
         with pytest.raises(SingularBlockError) as static:
             rate_quadratic(q, [first])
         assert direct.value.block == exact.value.block == static.value.block == 1
