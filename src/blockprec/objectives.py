@@ -113,9 +113,11 @@ class Glm:
     "logistic" (ell(v) = sum_i log(1 + exp(-y_i v_i)), labels in {-1, +1}).
     A may be dense or scipy.sparse. For logistic loss a column-major copy
     of A (CSC when A is sparse) is kept, from which ``block_curvature``
-    densifies one m x n_k column slice A[:, P_k] at a time. The Newton
-    reference solve behind the logistic optimum takes the one-block
-    exact Hessian, so it holds one dense m x n slice of A.
+    densifies the column slice A[:, P_k] one row chunk at a time. A dense
+    chunk holds at most stored(A) entries (``a.nnz`` when A is sparse,
+    ``a.size`` when dense) or one row, so the exact Hessian's memory,
+    including the one-block Hessians of the Newton reference solve behind
+    the logistic optimum, grows with the entries A stores, not with m x n.
     """
 
     def __init__(self, a, y, loss: str, lam: float = 0.0):
@@ -201,9 +203,11 @@ class Glm:
         as those of ``diagonal_blocks`` do. Constant curvature takes the
         cached Gram's stacks and forms gamma_ell G[P_k, P_k] + lambda I once
         per stack. The exact logistic Hessian takes one margin pass for the
-        weights w and writes each block B_k^T B_k, B_k = sqrt(w) o A[:, P_k],
-        into its slot of a preallocated stack, then adds lambda I per stack,
-        so beyond the column-major copy of A it holds one dense m x n_k slice.
+        weights w and sums each block B_k^T B_k, B_k = sqrt(w) o A[:, P_k],
+        into its slot of a zeroed stack over row chunks of B_k, then adds
+        lambda I per stack. A chunk has as many rows as keep its dense slice
+        within stored(A) entries, and at least one; a block whose m x n_k
+        slice fits is one chunk, taken whole from the column-major copy of A.
         """
         x = _check_x(x, self.n)
         if self.curvature_is_constant(model):
@@ -213,15 +217,20 @@ class Glm:
             raise InvalidArgumentError(
                 f"partitioning over {part.n} coordinates does not match n = {self.n}")
         root_w = np.sqrt(self._hessian_weights(x))[:, None]
+        columns = self._columns
+        stored = columns.nnz if scipy.sparse.issparse(columns) else columns.size
         stacks = []
         for _, idx in part.stacks():
             size = idx.shape[1]
-            stack = np.empty((len(idx), size, size))
+            step = max(stored // size, 1)  # rows per chunk
+            stack = np.zeros((len(idx), size, size))
             for cols_idx, block in zip(idx, stack):
-                cols = self._columns[:, cols_idx]  # a fresh copy, scaled in place
-                cols = cols.toarray() if scipy.sparse.issparse(cols) else cols
-                cols *= root_w
-                np.matmul(cols.T, cols, out=block)
+                for lo in range(0, self.m, step):
+                    rows = columns if step >= self.m else columns[lo:lo + step]
+                    cols = rows[:, cols_idx]  # a fresh copy, scaled in place
+                    cols = cols.toarray() if scipy.sparse.issparse(cols) else cols
+                    cols *= root_w[lo:lo + step]
+                    block += cols.T @ cols
             stack += self.lam * np.eye(size)
             stacks.append(stack)
         return stacks

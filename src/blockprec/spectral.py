@@ -109,11 +109,14 @@ def _factor(q, assignments):
 def _block_stacks(q, assignments):
     """Yield (row, idx, where) per stack of ``_block_layout`` over chunks of ``assignments``.
 
-    A chunk stacks at most max(n^2, 2^16) entries, counted on the first row;
-    ``where`` holds the blocks' flat indices into ``q.ravel()``, ``row`` their rows.
+    A chunk stacks at most max(n^2, 2^16) entries, counted on the row whose
+    blocks hold the most; ``where`` holds the blocks' flat indices into
+    ``q.ravel()``, ``row`` their rows.
     """
     n = q.shape[0]
-    step = _chunk_rows(n, sum(idx.size * idx.shape[1] for _, idx in _block_layout(assignments[:1])))
+    entries = sum(np.count_nonzero(assignments == block, axis=1) ** 2
+                  for block in range(int(assignments.max()) + 1))
+    step = _chunk_rows(n, int(np.max(entries)))
     for start in range(0, len(assignments), step):
         for ids, idx in _block_layout(assignments[start:start + step]):
             yield start + ids // n, idx, _flat_indices(idx, n)

@@ -225,6 +225,15 @@ class TestSpectral:
         assert run_cli("spectral", "--dataset", ds, "--k", 2, "--seed", 0,
                        "--out", tmp_path / "rep") == 4
 
+    def test_index_beyond_int64_exit_4(self, tmp_path, capsys):
+        ds = tmp_path / "huge.libsvm"
+        ds.write_text("1 1:1.0\n-1 99999999999999999999:1\n")
+        capsys.readouterr()
+        assert run_cli("solve", "--objective", "logistic", "--dataset", ds, "--k", 1,
+                       "--t", 2, "--reg", 1.0, "--seed", 0, "--out", tmp_path / "run") == 4
+        assert capsys.readouterr().err == (
+            "blockprec: parse error: line 2: bad feature entry '99999999999999999999:1'\n")
+
     def test_rerun_identical_bytes(self, tmp_path):
         # stacked chunks at n = 16, one-row (Lanczos) chunks at n = 200
         for n, samples in ((16, 30), (200, 8)):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -156,6 +158,61 @@ class TestLibsvm:
             read_libsvm(path)
         assert excinfo.value.lineno == 2
 
+    def test_index_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "bad.libsvm"
+        path.write_text("+1 1:0.5\n1 99999999999999999999:1\n")
+        with pytest.raises(LibsvmParseError, match="bad feature entry") as excinfo:
+            read_libsvm(path)
+        assert excinfo.value.lineno == 2
+
+    # Labels +1/-1, values written with 17 significant digits.
+    LINE_FORMS = {
+        "crlf": "+1 1:{0} 3:{1}\r\n-1 2:{2}\r\n",
+        "lone_cr": "+1 1:{0} 3:{1}\r-1 2:{2}\r",
+        "blank_lines": "\n+1 1:{0} 3:{1}\n\n\n-1 2:{2}\n\n",
+        "whitespace_only_lines": " \t\n+1 1:{0} 3:{1}\n   \n-1 2:{2}\n\t\n",
+        "unsigned_label": "1 1:{0} 3:{1}\n-1 2:{2}",
+        "leading_zero_indices": "+1 01:{0} 003:{1}\n-1 0002:{2}\n",
+    }
+
+    @pytest.mark.parametrize("form", LINE_FORMS)
+    def test_line_forms_give_the_same_arrays(self, tmp_path, form):
+        values = [0.1, -np.e, np.pi / 3]
+        path = tmp_path / "forms.libsvm"
+        path.write_bytes(self.LINE_FORMS[form].format(*(f"{v:.17g}" for v in values)).encode())
+        ds = read_libsvm(path)
+        assert ds.a.shape == (2, 3)
+        assert ds.a.data.tolist() == values
+        assert ds.a.indices.tolist() == [0, 2, 1]
+        assert ds.a.indptr.tolist() == [0, 2, 3]
+        assert ds.y.tolist() == [1.0, -1.0]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_error_line_counts_blank_lines(self, tmp_path, newline):
+        path = tmp_path / "bad.libsvm"
+        path.write_bytes(newline.join(["+1 1:1", " ", "-1 2:oops", ""]).encode())
+        with pytest.raises(LibsvmParseError) as excinfo:
+            read_libsvm(path)
+        assert excinfo.value.lineno == 3
+
+    def test_reading_memory_per_stored_entry(self, tmp_path):
+        # 5000 rows of 8 one-hot groups. Typed arrays peak at about 24 bytes per
+        # stored entry (values, int64 indices, scipy's int32 index copy); a reader
+        # that holds a Python float object per entry peaks at about 72.
+        rng = np.random.default_rng(0)
+        cols = 1 + 10 * np.arange(8) + rng.integers(0, 10, size=(5000, 8))
+        path = tmp_path / "onehot.libsvm"
+        path.write_text("".join(f"{(-1) ** r:+d} " + " ".join(f"{c}:1" for c in row) + "\n"
+                                for r, row in enumerate(cols.tolist())))
+        tracemalloc.start()
+        try:
+            ds = read_libsvm(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.a.nnz == cols.size
+        assert peak < 32 * ds.a.nnz
+
     def test_non_increasing_indices_rejected(self, tmp_path):
         path = tmp_path / "bad.libsvm"
         path.write_text("+1 3:1.0 2:1.0\n")
@@ -212,6 +269,20 @@ class TestNormalizeColumns:
             norms = np.linalg.norm(a, axis=0)
             np.testing.assert_allclose(norms[[0, 1, 2, 4]], 1.0, atol=1e-12)
             assert norms[3] == 0.0
+
+    def test_sparse_matches_column_scaling_product(self):
+        # Bit for bit what A @ diag(1 / norm) gives, on non-integer values
+        from blockprec import normalize_columns
+        rng = np.random.default_rng(10)
+        dense = rng.standard_normal((3000, 40)) * np.pi
+        dense[rng.random(dense.shape) < 0.7] = 0.0
+        dense[:, 5] = 0.0
+        columns = scipy.sparse.csc_matrix(dense)
+        norms = np.sqrt(np.asarray(columns.multiply(columns).sum(axis=0)).ravel())
+        want = (columns @ scipy.sparse.diags(1.0 / np.where(norms > 0.0, norms, 1.0))).toarray()
+        out = normalize_columns(Dataset(scipy.sparse.csr_matrix(dense), np.zeros(3000)))
+        assert out.a.format == "csr"
+        np.testing.assert_array_equal(out.a.toarray(), want)
 
     def test_original_untouched(self):
         from blockprec import normalize_columns

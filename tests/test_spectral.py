@@ -748,6 +748,26 @@ class TestStackedDistribution:
         np.testing.assert_allclose(got, [lambda_min_generalized(q, p) for p in parts],
                                    rtol=0, atol=1e-12)
 
+    def test_chunk_bound_holds_for_mixed_size_profiles(self, monkeypatch):
+        # One balanced row, then 99 rows with a 361-coordinate block: the step must
+        # come from the largest row, or one chunk stacks 5 214 400 entries.
+        n, k = 400, 40
+        balanced = np.arange(n) % k
+        lopsided = np.concatenate((np.zeros(n - k + 1, dtype=np.intp), np.arange(1, k)))
+        rows = np.vstack([balanced] + [lopsided] * 99)
+        chunks = []
+        layout = spectral._block_layout
+
+        def counted_layout(assignments):
+            stacks = layout(assignments)
+            chunks.append(sum(idx.size * idx.shape[1] for _, idx in stacks))
+            return stacks
+
+        monkeypatch.setattr(spectral, "_block_layout", counted_layout)
+        blocks = sum(len(row) for row, _, _ in spectral._block_stacks(np.eye(n), rows))
+        assert blocks == 100 * k
+        assert len(chunks) > 1 and max(chunks) <= max(n * n, 2**16)
+
     def test_threads_give_equal_values(self):
         # sampled: chunks of 40 rows at n = 40, one-row (Lanczos) chunks at n = 200;
         # exact: 5775 partitionings of 12 coordinates in 13 chunks
