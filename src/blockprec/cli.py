@@ -334,21 +334,15 @@ def cmd_sweep(args, argv):
     _require(args, "n", "k_grid", "alpha_grid", "out")
     ks = _parse_grid(args.k_grid, "K", int)
     alphas = _parse_grid(args.alpha_grid, "alpha", float)
-    for k in ks:
-        if k < 1 or args.n % k != 0:
-            raise InvalidArgumentError(f"grid K={k} does not divide n={args.n}")
-    for alpha in alphas:
-        if not 0.0 <= alpha < 1.0:
-            raise InvalidArgumentError(f"grid alpha={alpha} outside [0, 1)")
+    # Every row is computed before --out is opened, so an invalid grid writes nothing.
+    forms = [spectral.uniform_closed_form(args.n, k, alpha) for k in ks for alpha in alphas]
     _ensure_parent(args.out)
     with open(args.out, "w", encoding="ascii") as fh:
         fh.write(f"# {_invocation(argv)}\n")
         fh.write("n,K,alpha,epsilon,rho_static,rho_dynamic\n")
-        for k in ks:
-            for alpha in alphas:
-                form = spectral.uniform_closed_form(args.n, k, alpha)
-                fh.write(f"{args.n},{k},{alpha!r},{form.epsilon!r},"
-                         f"{form.rho_static!r},{form.rho_dynamic!r}\n")
+        for form in forms:
+            fh.write(f"{form.n},{form.k_blocks},{form.alpha!r},{form.epsilon!r},"
+                     f"{form.rho_static!r},{form.rho_dynamic!r}\n")
     return 0
 
 

@@ -16,7 +16,7 @@ import scipy.sparse
 
 from .errors import InvalidArgumentError, LibsvmParseError
 from .partition import check_symmetric_matrix
-from .seeding import check_seed
+from .seeding import _check_integer, check_seed
 
 _Q_MAGIC = b"BPQ1"
 _Q_HEADER = struct.Struct("<4sI8x")  # magic, u32 order, 8 reserved bytes
@@ -33,7 +33,7 @@ def gen_uniform_q(n: int, alpha: float):
     SPD for alpha in [0, 1): the eigenvalues are 1 + (n-1) alpha (once)
     and 1 - alpha (n-1 times).
     """
-    if n < 1:
+    if _check_integer(n, "n") < 1:
         raise InvalidArgumentError("n must be positive")
     _check_alpha(alpha)
     q = np.full((n, n), float(alpha))
@@ -43,7 +43,7 @@ def gen_uniform_q(n: int, alpha: float):
 
 def gen_separable_q(n: int, k: int, alpha: float):
     """Block-diagonal matrix of K uniform-correlation blocks of size n/K."""
-    if n < 1 or k < 1 or n % k != 0:
+    if _check_integer(n, "n") < 1 or _check_integer(k, "k") < 1 or n % k != 0:
         raise InvalidArgumentError(f"k must divide n, got n={n}, k={k}")
     _check_alpha(alpha)
     nk = n // k
@@ -68,7 +68,7 @@ def gen_random_corr_q(n: int, alpha: float, seed: int):
     n in the hundreds and erases the repartitioning gap the structure is
     meant to exhibit.
     """
-    if n < 1:
+    if _check_integer(n, "n") < 1:
         raise InvalidArgumentError("n must be positive")
     if not 0.0 < alpha < np.inf:
         raise InvalidArgumentError(f"alpha must be positive and finite, got {alpha}")

@@ -32,30 +32,37 @@ SYMMETRY_TOL = 1e-10
 DEFAULT_ENUMERATION_CAP = 10**6
 
 
-def check_symmetric_matrix(q, tol=SYMMETRY_TOL):
+def check_symmetric_matrix(q):
     """Validate a dense symmetric matrix and return it as a float64 array.
 
-    Requires a square 2-d array with finite entries that is symmetric
-    within ``tol`` relative to its scale, max |Q - Q^T| <= tol * max(1, max |Q|),
-    so unit-scale matrices see the absolute tolerance ``tol``. The entries
+    Requires a square 2-d array that passes ``_entry_fault``, so unit-scale
+    matrices see the absolute symmetry tolerance SYMMETRY_TOL. The entries
     are returned unchanged; no silent symmetrization happens here.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {q.shape}")
-    _check_entries(q, tol, "matrix")
+    fault = _entry_fault(q[None])
+    if fault:
+        raise InvalidArgumentError(f"matrix {fault}")
     return q
 
 
-def _check_entries(q, tol, what):
-    """Raise unless square ``q`` is finite and symmetric within tol * max(1, max |q|)."""
-    scale = np.abs(q).max(initial=0.0)
-    if not np.isfinite(scale):
-        raise InvalidArgumentError(f"{what} has non-finite entries")
-    skew = np.abs(q - q.T).max(initial=0.0)
-    if skew > tol * max(1.0, scale):
-        raise InvalidArgumentError(f"{what} is not symmetric: max |Q - Q^T| = {skew:.3e} "
-                                   f"exceeds {tol:g} * max(1, max |Q| = {scale:.3e})")
+def _entry_fault(stack):
+    """Why the first failing matrix B of a (K, s, s) stack fails, or None if every one passes.
+
+    B passes if its entries are finite and max |B - B^T| <= SYMMETRY_TOL * max(1, max |B|).
+    """
+    scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
+    skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(~np.isfinite(scale) | (skew > SYMMETRY_TOL * np.maximum(1.0, scale)))
+    if not bad.size:
+        return None
+    i = bad[0]
+    if not np.isfinite(scale[i]):
+        return "has non-finite entries"
+    return (f"is not symmetric: max |Q - Q^T| = {skew[i]:.3e} "
+            f"exceeds {SYMMETRY_TOL:g} * max(1, max |Q| = {scale[i]:.3e})")
 
 
 @dataclass(frozen=True)
@@ -256,11 +263,31 @@ def diagonal_blocks(q, part: Partitioning):
     return [flat.take(_flat_indices(idx, part.n)) for _, idx in part.stacks()]
 
 
-def _bad_entries(stack, tol):
-    """Per block of a (K_s, s, s) stack: whether ``_check_entries`` would raise on it."""
-    scale = np.abs(stack).max(axis=(1, 2))
-    skew = np.abs(stack - stack.transpose(0, 2, 1)).max(axis=(1, 2))
-    return ~np.isfinite(scale) | (skew > tol * np.maximum(1.0, scale))
+def _cholesky(stack, jitter=0.0):
+    """Lower Cholesky factors of a (K_s, s, s) stack + jitter I, by one batched Cholesky."""
+    return np.linalg.cholesky(stack + jitter * np.eye(stack.shape[1]) if jitter else stack)
+
+
+def _raise_first_failure(layout, stacks, n, jitter=0.0):
+    """Raise the error of the block of lowest layout id that fails its entries or its Cholesky.
+
+    ``stacks`` holds the blocks of ``layout``, the ``_block_layout`` of one or
+    more rows: the walk names the first failing row's lowest failing label,
+    and returns if no block fails.
+    """
+    ids = np.concatenate([ids for ids, _ in layout])
+    blocks = [block for stack in stacks for block in stack]
+    for i in np.argsort(ids):
+        k, block = int(ids[i] % n), blocks[i][None]
+        fault = _entry_fault(block)
+        if fault:
+            raise InvalidArgumentError(f"block {k} {fault}")
+        try:
+            _cholesky(block, jitter)
+        except np.linalg.LinAlgError as exc:
+            raise SingularBlockError(
+                k, f"block {k} (size {block.shape[1]}) is not positive definite"
+                + ("" if jitter else "; consider a positive jitter")) from exc
 
 
 class BlockCholesky:
@@ -268,14 +295,11 @@ class BlockCholesky:
 
     Takes the principal blocks Q[P_k, P_k] as one (K_s, s, s) stack per
     entry of ``part.stacks()`` (from ``diagonal_blocks(q, part)`` or an
-    objective's ``block_curvature``), checks each stack in one vectorized
-    pass and factors it (+ jitter on the diagonal) once, with one batched
-    Cholesky, and exposes the solve and congruence operations used by the
-    solver and the spectral analysis. Blocks are independent, so all
-    operations decompose per block and yield results identical to dense
-    computations against block_mask(Q, P). A block that fails its check or
-    its factorization is named as a loop over the blocks in label order
-    would name it: the lowest failing label.
+    objective's ``block_curvature``), checks and factors each stack (+ jitter
+    on the diagonal) in one batched pass, as the spectral kernels do, and
+    exposes the solves and congruences of the solver and the spectral
+    analysis, identical to dense ones against block_mask(Q, P). A failing
+    block is named by ``_raise_first_failure``: the lowest failing label.
     """
 
     def __init__(self, stacks, part: Partitioning, jitter: float = 0.0):
@@ -295,36 +319,13 @@ class BlockCholesky:
                 raise InvalidArgumentError(
                     f"the stack of size-{idx.shape[1]} blocks holding block {labels[0]} "
                     f"has shape {stack.shape}, expected {want}")
-        if any(_bad_entries(stack, SYMMETRY_TOL).any() for stack in stacks):
-            self._raise_first_failure(stacks, jitter)
-        self._factors = []
-        for stack in stacks:
-            if jitter:
-                stack = stack + jitter * np.eye(stack.shape[1])
-            try:  # numpy's Cholesky, as in the batched spectral kernel, so both agree
-                self._factors.append(np.linalg.cholesky(stack))
-            except np.linalg.LinAlgError:
-                self._raise_first_failure(stacks, jitter)
-                raise
-
-    def _raise_first_failure(self, stacks, jitter):
-        """Raise the error of the lowest-labelled block that fails its check or its Cholesky.
-
-        Runs only after a stack has failed, so the loop over single blocks
-        costs nothing on the success path.
-        """
-        blocks = {}
-        for (labels, _), stack in zip(self._stacks, stacks):
-            blocks.update(zip(labels.tolist(), stack))
-        for k in sorted(blocks):
-            block = blocks[k]
-            _check_entries(block, SYMMETRY_TOL, f"block {k}")
-            try:
-                np.linalg.cholesky(block + jitter * np.eye(len(block)) if jitter else block)
-            except np.linalg.LinAlgError as exc:
-                raise SingularBlockError(
-                    k, f"block {k} (size {len(block)}) is not positive definite"
-                    + ("" if jitter else "; consider a positive jitter")) from exc
+        if any(_entry_fault(stack) for stack in stacks):
+            _raise_first_failure(self._stacks, stacks, self.n, jitter)
+        try:
+            self._factors = [_cholesky(stack, jitter) for stack in stacks]
+        except np.linalg.LinAlgError:
+            _raise_first_failure(self._stacks, stacks, self.n, jitter)
+            raise
 
     def _block_factors(self):
         """(idx, L) per block, stack by stack."""

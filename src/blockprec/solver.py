@@ -16,7 +16,7 @@ import numpy as np
 from . import objectives
 from .errors import DivergenceError, InvalidArgumentError, LineSearchError
 from .partition import BlockCholesky, Partitioning, sample_uniform_partition
-from .seeding import check_seed, derive_seed, map_ordered
+from .seeding import _check_integer, check_seed, derive_seed, map_ordered
 
 STATIC = "static"
 DYNAMIC = "dynamic"
@@ -51,7 +51,7 @@ class ArmijoStep:
             raise InvalidArgumentError(f"c1 must lie in (0, 1), got {self.c1}")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidArgumentError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if self.max_backtracks < 1:
+        if _check_integer(self.max_backtracks, "max_backtracks") < 1:
             raise InvalidArgumentError("max_backtracks must be at least 1")
 
 
@@ -72,15 +72,14 @@ class SolverConfig:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if self.k_blocks < 1:
+        if _check_integer(self.k_blocks, "k_blocks") < 1:
             raise InvalidArgumentError("k_blocks must be positive")
         if self.scheme not in SCHEMES:
             raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         check_seed(self.seed)
-        if self.n_iters < 0:
+        if _check_integer(self.n_iters, "n_iters") < 0:
             raise InvalidArgumentError("n_iters must be non-negative")
-        if self.model not in objectives.CURVATURE_MODELS:
-            raise InvalidArgumentError(f"unknown curvature model {self.model!r}")
+        objectives._check_model(self.model)
         if not 0.0 <= self.jitter < np.inf:
             raise InvalidArgumentError(f"jitter must be non-negative and finite, got {self.jitter}")
 
@@ -229,7 +228,7 @@ def run_repeats(obj, config: SolverConfig, repeats: int, threads: int = 1):
     thread count. If repeat r diverges, the DivergenceError's ``traces``
     holds the traces of repeats 0..r-1 followed by the partial trace of r.
     """
-    if repeats < 1:
+    if _check_integer(repeats, "repeats") < 1:
         raise InvalidArgumentError("repeats must be positive")
     configs = [replace(config, seed=derive_seed(config.seed, r))
                for r in range(repeats)]

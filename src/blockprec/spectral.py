@@ -46,14 +46,16 @@ from .partition import (
     BlockCholesky,
     Partitioning,
     _block_layout,
+    _cholesky,
     _enumerate_assignments,
     _flat_indices,
+    _raise_first_failure,
     _sample_assignments,
     check_symmetric_matrix,
     diagonal_blocks,
     sample_uniform_partition,  # noqa: F401  (perfbench/test_smoke.py traces it here)
 )
-from .seeding import derive_seed, map_ordered
+from .seeding import _check_integer, derive_seed, map_ordered
 
 
 def _min_eigenvalue(m) -> float:
@@ -85,66 +87,74 @@ def _chunk_rows(n, entries_per_row):
     return max(n * n, 2**16) // entries_per_row
 
 
-def _raise_singular_block(q, assignments):
-    """Raise the SingularBlockError BlockCholesky raises for the first row with one."""
-    for row in assignments:
-        part = Partitioning(row, int(row.max()) + 1)
-        BlockCholesky(diagonal_blocks(q, part), part)
-
-
 def _factor(q, assignments):
     """Upper Cholesky factor R of a validated Q = R^T R.
 
     If Q is not positive definite, raises the SingularBlockError of the
-    first row of ``assignments`` with a singular diagonal block, else
-    InvalidArgumentError.
+    first row of ``assignments`` with a singular diagonal block, which
+    ``_block_factors`` finds, else InvalidArgumentError.
     """
     try:
         return scipy.linalg.cholesky(q, lower=False, check_finite=False)
     except scipy.linalg.LinAlgError:
-        _raise_singular_block(q, assignments)
+        for _ in _block_factors(q, assignments):
+            pass
         raise InvalidArgumentError("Q is not positive definite") from None
 
 
-def _block_stacks(q, assignments):
-    """Yield (row, idx, where) per stack of ``_block_layout`` over chunks of ``assignments``.
+def _chunks(q, assignments):
+    """Yield (start, ``_block_layout`` of the rows from ``start``) per chunk of ``assignments``.
 
-    A chunk stacks at most max(n^2, 2^16) entries, counted on the row whose
-    blocks hold the most; ``where`` holds the blocks' flat indices into
-    ``q.ravel()``, ``row`` their rows.
+    A chunk stacks at most max(n^2, 2^16) entries, counted on the row whose blocks hold the most.
     """
     n = q.shape[0]
     entries = sum(np.count_nonzero(assignments == block, axis=1) ** 2
                   for block in range(int(assignments.max()) + 1))
     step = _chunk_rows(n, int(np.max(entries)))
     for start in range(0, len(assignments), step):
-        for ids, idx in _block_layout(assignments[start:start + step]):
+        yield start, _block_layout(assignments[start:start + step])
+
+
+def _block_stacks(q, assignments):
+    """Yield (row, idx, where) per stack of ``_chunks``: ``where`` indexes ``q.ravel()``."""
+    n = q.shape[0]
+    for start, layout in _chunks(q, assignments):
+        for ids, idx in layout:
             yield start + ids // n, idx, _flat_indices(idx, n)
 
 
-def _block_inverses(q, assignments):
-    """Yield (row, where, inverse) per stack of ``_block_stacks``, for a validated Q.
+def _block_factors(q, assignments):
+    """Yield (row, where, lower) per stack of ``_chunks``, for a validated Q.
 
-    One batched Cholesky factors each gathered stack, B = L L^T, and LAPACK's
-    triangular inverse ``dtrtri`` turns each factor into W = L^{-1} in place,
-    one block at a time; ``inverse`` holds the blocks' inverses W^T W. A block
-    that is not positive definite raises the SingularBlockError that
-    BlockCholesky raises for it.
+    One batched Cholesky factors each gathered stack, B = L L^T. If one fails,
+    the walk over its chunk, as every earlier chunk passed, raises the
+    SingularBlockError that BlockCholesky raises for the first row with one.
     """
-    for row, _, where in _block_stacks(q, assignments):
-        try:
-            inv_lower = np.linalg.cholesky(q.ravel()[where])
-            # A C-ordered L is the Fortran-ordered upper factor L^T, which dtrtri
-            # inverts in place; dtrtri(lower=1) on L would copy each block in and out.
-            for factor in inv_lower:
-                if dtrtri(factor.T, lower=0, overwrite_c=1)[1]:
-                    raise np.linalg.LinAlgError("singular triangular factor")
-        except np.linalg.LinAlgError:
-            _raise_singular_block(q, assignments)
-            raise
+    n = q.shape[0]
+    for start, layout in _chunks(q, assignments):
+        for ids, idx in layout:
+            where = _flat_indices(idx, n)
+            try:
+                lower = _cholesky(q.ravel()[where])
+            except np.linalg.LinAlgError:
+                _raise_first_failure(layout, [q.ravel()[_flat_indices(i, n)] for _, i in layout], n)
+                raise
+            yield start + ids // n, where, lower
+
+
+def _block_inverses(q, assignments):
+    """Yield (row, where, inverse) per stack of ``_block_factors``, for a validated Q.
+
+    LAPACK's triangular inverse ``dtrtri`` turns each factor L into W = L^{-1}
+    in place, one block at a time; ``inverse`` holds the blocks' inverses W^T W.
+    """
+    for row, where, inv_lower in _block_factors(q, assignments):
+        # A C-ordered L is the Fortran-ordered upper factor L^T, which dtrtri
+        # inverts in place; dtrtri(lower=1) on L would copy each block in and out.
+        # Cholesky left a positive diagonal, so no inverse is singular.
+        for factor in inv_lower:
+            dtrtri(factor.T, lower=0, overwrite_c=1)
         yield row, where, inv_lower.transpose(0, 2, 1) @ inv_lower
-        # Not held through the next stack: +2.8 MB of peak RSS at n = 600.
-        del inv_lower
 
 
 def _mean_inverse(q, assignments):
@@ -214,7 +224,7 @@ def _lambda_min_lanczos(q, upper, assignments):
 
 def _sample_seeds(n_samples, seed):
     """Per-sample seeds: sample i is drawn with seed derive_seed(seed, i)."""
-    if n_samples < 1:
+    if _check_integer(n_samples, "n_samples") < 1:
         raise InvalidArgumentError("n_samples must be at least 1")
     return [derive_seed(seed, i) for i in range(n_samples)]
 
@@ -256,7 +266,9 @@ def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) 
     """Exact lambda_min(E[Q_P^{-1}] Q) by enumerating all partitionings."""
     q = check_symmetric_matrix(q)
     assignments = _enumerate_assignments(q.shape[0], k_blocks, cap)
-    return lambda_min_of_expected(_mean_inverse(q, assignments), _factor(q, assignments))
+    # Q is factored first, so if it is not positive definite, _factor's pass replaces the mean's.
+    upper = _factor(q, assignments)
+    return lambda_min_of_expected(_mean_inverse(q, assignments), upper)
 
 
 @dataclass(frozen=True)
@@ -306,7 +318,8 @@ def uniform_closed_form(n: int, k_blocks: int, alpha: float) -> UniformClosedFor
     matrix and both eigenvalues are exactly 1 (epsilon = 0 by convention,
     as for alpha = 0).
     """
-    if k_blocks < 1 or n < 1 or n % k_blocks != 0:
+    if (_check_integer(k_blocks, "k_blocks") < 1 or _check_integer(n, "n") < 1
+            or n % k_blocks != 0):
         raise InvalidArgumentError(f"k must divide n, got n={n}, k={k_blocks}")
     if not 0.0 <= alpha < 1.0:
         raise InvalidArgumentError(f"alpha must lie in [0, 1), got {alpha}")
@@ -365,7 +378,8 @@ def rate_quadratic(q, parts) -> float:
     """
     q = check_symmetric_matrix(q)
     k, assignments = _check_parts(parts, q.shape[0])
-    return lambda_min_of_expected(_mean_inverse(q, assignments), _factor(q, assignments)) / k
+    upper = _factor(q, assignments)
+    return lambda_min_of_expected(_mean_inverse(q, assignments), upper) / k
 
 
 def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,

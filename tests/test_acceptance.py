@@ -122,6 +122,7 @@ def test_criterion_1_rate_tables():
         "rates differ from the reference cells: " + "; ".join(mismatches))
 
 
+@pytest.mark.slow
 def test_criterion_2_mc_matches_closed_form():
     """Monte Carlo estimate vs closed-form dynamic eigenvalue at n = 200."""
     start = time.perf_counter()
@@ -148,6 +149,7 @@ def test_criterion_2_mc_matches_closed_form():
     assert not failures, failures
 
 
+@pytest.mark.slow
 def test_criterion_3_enumeration_oracle():
     """MC vs exact enumeration at n = 6, plus mean_P lambda_min <= E <= 1.
 
@@ -211,6 +213,7 @@ def test_criterion_4_separable_toy():
     assert not failures, failures
 
 
+@pytest.mark.slow
 def test_criterion_5_rate_bound_desk_scale():
     """Dynamic mean under the rate bound; static per-iteration contraction."""
     start = time.perf_counter()

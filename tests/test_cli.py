@@ -435,13 +435,16 @@ class TestSweep:
         assert float(zero["rho_static"]) == 0.5
         assert float(zero["rho_dynamic"]) == 0.5
 
+    # a grid point the closed form rejects fails the run before --out is opened
     def test_invalid_k_exit_2(self, tmp_path):
-        assert run_cli("sweep", "--n", 200, "--k-grid", "3", "--alpha-grid", "0.1",
+        assert run_cli("sweep", "--n", 200, "--k-grid", "2,3", "--alpha-grid", "0.1",
                        "--out", tmp_path / "s.csv") == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_alpha_out_of_range_exit_2(self, tmp_path):
-        assert run_cli("sweep", "--n", 10, "--k-grid", "2", "--alpha-grid", "1.0",
+        assert run_cli("sweep", "--n", 10, "--k-grid", "2", "--alpha-grid", "0.5,1.0",
                        "--out", tmp_path / "s.csv") == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -705,6 +708,7 @@ def _invocation(draw, root):
     return argv, config
 
 
+@pytest.mark.slow
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(data=st.data())

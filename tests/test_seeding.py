@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from blockprec import (
+    ArmijoStep,
     InvalidArgumentError,
+    Quadratic,
     SolverConfig,
+    build_report,
     derive_seed,
+    expected_lambda_mc,
     gen_labels,
     gen_random_corr_q,
+    gen_separable_q,
+    gen_uniform_q,
+    run_repeats,
     sample_uniform_partition,
+    uniform_closed_form,
 )
 from blockprec.seeding import map_ordered
 
@@ -41,6 +49,31 @@ def test_seed_range_ends_accepted(name):
 def test_non_integer_seed_rejected(name, seed):
     with pytest.raises(InvalidArgumentError, match="seed must be an integer"):
         SEEDED[name](seed)
+
+
+# Every public integer count other than a seed: (argument name, call with that count).
+COUNTED = {
+    "SolverConfig k_blocks": ("k_blocks", lambda v: SolverConfig(k_blocks=v)),
+    "SolverConfig n_iters": ("n_iters", lambda v: SolverConfig(k_blocks=2, n_iters=v)),
+    "ArmijoStep": ("max_backtracks", lambda v: ArmijoStep(max_backtracks=v)),
+    "run_repeats": ("repeats", lambda v: run_repeats(
+        Quadratic(np.eye(2), np.ones(2)), SolverConfig(k_blocks=1), v)),
+    "expected_lambda_mc": ("n_samples", lambda v: expected_lambda_mc(np.eye(3), 3, v, 0)),
+    "build_report": ("n_samples", lambda v: build_report(np.eye(3), 3, n_samples=v)),
+    "uniform_closed_form k_blocks": ("k_blocks", lambda v: uniform_closed_form(10, v, 0.1)),
+    "uniform_closed_form n": ("n", lambda v: uniform_closed_form(v, 2, 0.1)),
+    "gen_uniform_q": ("n", lambda v: gen_uniform_q(v, 0.1)),
+    "gen_separable_q": ("k", lambda v: gen_separable_q(10, v, 0.1)),
+    "gen_random_corr_q": ("n", lambda v: gen_random_corr_q(v, 0.1, 0)),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2"])
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_non_integer_count_rejected_at_the_boundary(name, value):
+    argument, call = COUNTED[name]
+    with pytest.raises(InvalidArgumentError, match=f"^{argument} must be an integer"):
+        call(value)
 
 
 def test_integer_types_accepted():

@@ -37,7 +37,11 @@ from blockprec import (
     uniform_closed_form,
 )
 from blockprec import spectral
-from blockprec.partition import DEFAULT_ENUMERATION_CAP, _enumerate_assignments
+from blockprec.partition import (
+    DEFAULT_ENUMERATION_CAP,
+    _enumerate_assignments,
+    _sample_assignments,
+)
 from blockprec.spectral import (
     _block_inverses,
     _lambda_min_stack,
@@ -201,6 +205,7 @@ class TestClosedForms:
         with pytest.raises(InvalidArgumentError):
             uniform_closed_form(10, 2, 1.0)
 
+    @pytest.mark.slow
     def test_agrees_with_linear_algebra_up_to_n12(self):
         for n in range(2, 13):
             for k in range(2, n + 1):
@@ -604,6 +609,35 @@ class TestFactoredExpectation:
         with pytest.raises(InvalidArgumentError, match="^Q is not positive definite$"):
             call(indefinite_q())
 
+    @pytest.mark.parametrize("call, rows", [
+        (lambda q: expected_lambda_mc(q, 2, 5000, seed=1),
+         lambda: _sample_assignments(8, 2, [derive_seed(1, i) for i in range(5000)])),
+        (lambda q: build_report(q, 2, exact=True),
+         lambda: _enumerate_assignments(8, 2, DEFAULT_ENUMERATION_CAP)),
+    ], ids=["mc", "exact"])
+    def test_q_not_positive_definite_costs_one_cholesky_per_stack(self, monkeypatch, call, rows):
+        # every 4 x 4 block of 1.2 I - 0.2 11^T is positive definite, Q itself is not:
+        # its blocks are factored stack by stack, never one partitioning at a time
+        q = 1.2 * np.eye(8) - 0.2
+        stacks = sum(1 for _ in spectral._block_stacks(q, rows()))
+        built, factored = [], []
+        init, cholesky = BlockCholesky.__init__, np.linalg.cholesky
+
+        def counted_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def counted_cholesky(a):
+            factored.append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(BlockCholesky, "__init__", counted_init)
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        with pytest.raises(InvalidArgumentError, match="^Q is not positive definite$"):
+            call(q)
+        assert built == []
+        assert len(factored) == stacks
+
     def test_singular_block_takes_precedence_over_q(self):
         q = indefinite_q()
         parts = [sample_uniform_partition(6, 2, derive_seed(3, i)) for i in range(20)]
@@ -724,6 +758,7 @@ class TestStackedDistribution:
             assert s.lambda_min == pytest.approx(lambda_min_precond(q, part), abs=1e-12)
             assert s.lambda_min == pytest.approx(lambda_min_generalized(q, part), abs=1e-12)
 
+    @pytest.mark.slow
     def test_exact_spanning_several_chunks(self):
         # 5775 partitionings of 12 coordinates: 13 chunks of at most 2^16 / 12^2 = 455
         q = random_spd(12, np.random.default_rng(5))
