@@ -117,8 +117,6 @@ def build_parser():
     p.add_argument("--repeats", type=int, default=1)
     p.add_argument("--reg", type=float, default=0.0,
                    help="L2 regularization weight lambda")
-    p.add_argument("--jitter", type=float, default=0.0,
-                   help="diagonal jitter added to blocks before factorization")
     p.add_argument("--normalize", action="store_true",
                    help="scale dataset columns to unit L2 norm first")
     _add_common(p)
@@ -302,14 +300,13 @@ def cmd_solve(args, argv):
         step = solver.FixedStep(args.eta)
     else:
         step = solver.ArmijoStep(args.c1, args.shrink, args.max_backtracks)
-    schemes = [args.scheme] if args.scheme in (solver.STATIC, solver.DYNAMIC) \
-        else [solver.STATIC, solver.DYNAMIC]
+    schemes = solver.SCHEMES if args.scheme == "both" else [args.scheme]
     invocation = _invocation(argv)
     _ensure_parent(args.out)
     for scheme in schemes:
         config = solver.SolverConfig(
             k_blocks=args.k, scheme=scheme, seed=args.seed, n_iters=args.t,
-            model=args.model, step=step, jitter=args.jitter)
+            model=args.model, step=step)
         try:
             traces = solver.run_repeats(obj, config, args.repeats, threads=args.threads)
         except DivergenceError as exc:

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse
 
 from .errors import InvalidArgumentError, LibsvmParseError
-from .partition import check_symmetric_matrix
+from .partition import _check_equal_blocks, check_symmetric_matrix
 from .seeding import _check_integer, check_seed
 
 _Q_MAGIC = b"BPQ1"
@@ -43,8 +43,7 @@ def gen_uniform_q(n: int, alpha: float):
 
 def gen_separable_q(n: int, k: int, alpha: float):
     """Block-diagonal matrix of K uniform-correlation blocks of size n/K."""
-    if _check_integer(n, "n") < 1 or _check_integer(k, "k") < 1 or n % k != 0:
-        raise InvalidArgumentError(f"k must divide n, got n={n}, k={k}")
+    n, k = _check_equal_blocks(n, k)
     _check_alpha(alpha)
     nk = n // k
     q = np.zeros((n, n))

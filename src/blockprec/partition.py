@@ -191,12 +191,18 @@ def _sample_assignments(n: int, k: int, seeds):
     return out
 
 
+def _check_equal_blocks(n, k, k_name="k"):
+    """(n, k) as Python ints; InvalidArgumentError unless n, k >= 1 and K divides n."""
+    k_int, n_int = _check_integer(k, k_name), _check_integer(n, "n")
+    if k_int < 1 or n_int < 1 or n_int % k_int:
+        raise InvalidArgumentError(f"k must divide n, got n={n}, k={k}")
+    return n_int, k_int
+
+
 def partition_count(n: int, k: int) -> int:
     """Number of unordered partitionings of n indices into K equal blocks."""
-    if _check_integer(k, "k") < 1 or _check_integer(n, "n") % k != 0:
-        raise InvalidArgumentError(f"k must divide n, got n={n}, k={k}")
-    nk = n // k
-    return math.factorial(n) // (math.factorial(nk) ** k * math.factorial(k))
+    n, k = _check_equal_blocks(n, k)
+    return math.factorial(n) // (math.factorial(n // k) ** k * math.factorial(k))
 
 
 def enumerate_partitions(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -210,29 +216,29 @@ def enumerate_partitions(n: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP):
 
 
 def _enumerate_assignments(n: int, k: int, cap: int):
-    """``enumerate_partitions(n, k, cap)`` as one (S, n) assignment array, in the same order."""
+    """``enumerate_partitions(n, k, cap)`` as one (S, n) assignment array, in the same order.
+
+    Step b repeats each row once per lexicographic (n/K - 1)-subset of its free
+    coordinates but the lowest; these and the lowest keep label b - 1, the rest take b.
+    """
     count = partition_count(n, k)
     if count > cap:
         raise EnumerationCapError(
             f"{count} partitionings for n={n}, k={k} exceed the cap of {cap}")
     nk = n // k
-    rows = []
-    assignment = np.empty(n, dtype=np.intp)
-
-    def fill(remaining, block):
-        if not remaining:
-            rows.append(assignment.copy())
-            return
-        head, rest = remaining[0], remaining[1:]
-        assignment[head] = block
-        for companions in itertools.combinations(rest, nk - 1):
-            taken = set(companions)
-            for i in companions:
-                assignment[i] = block
-            fill([i for i in rest if i not in taken], block + 1)
-
-    fill(list(range(n)), 0)
-    return np.stack(rows)
+    rows = np.zeros((1, n), dtype=np.intp)
+    free = np.arange(n)[None, :]
+    for block in range(1, k):
+        r = free.shape[1]
+        subsets = math.comb(r - 1, nk - 1)
+        taken = np.fromiter(itertools.chain.from_iterable(
+            itertools.combinations(range(1, r), nk - 1)), np.intp).reshape(subsets, nk - 1)
+        keep = np.tile(np.arange(r) > 0, (subsets, 1))  # the lowest free coordinate is taken
+        keep[np.arange(subsets)[:, None], taken] = False
+        free = free[:, np.nonzero(keep)[1].reshape(subsets, r - nk)].reshape(-1, r - nk)
+        rows = np.repeat(rows, subsets, axis=0)
+        np.put_along_axis(rows, free, block, axis=1)
+    return rows
 
 
 def _check_dims(q, part):
@@ -263,12 +269,7 @@ def diagonal_blocks(q, part: Partitioning):
     return [flat.take(_flat_indices(idx, part.n)) for _, idx in part.stacks()]
 
 
-def _cholesky(stack, jitter=0.0):
-    """Lower Cholesky factors of a (K_s, s, s) stack + jitter I, by one batched Cholesky."""
-    return np.linalg.cholesky(stack + jitter * np.eye(stack.shape[1]) if jitter else stack)
-
-
-def _raise_first_failure(layout, stacks, n, jitter=0.0):
+def _raise_first_failure(layout, stacks, n):
     """Raise the error of the block of lowest layout id that fails its entries or its Cholesky.
 
     ``stacks`` holds the blocks of ``layout``, the ``_block_layout`` of one or
@@ -278,16 +279,15 @@ def _raise_first_failure(layout, stacks, n, jitter=0.0):
     ids = np.concatenate([ids for ids, _ in layout])
     blocks = [block for stack in stacks for block in stack]
     for i in np.argsort(ids):
-        k, block = int(ids[i] % n), blocks[i][None]
-        fault = _entry_fault(block)
+        k, block = int(ids[i] % n), blocks[i]
+        fault = _entry_fault(block[None])
         if fault:
             raise InvalidArgumentError(f"block {k} {fault}")
         try:
-            _cholesky(block, jitter)
+            np.linalg.cholesky(block)
         except np.linalg.LinAlgError as exc:
             raise SingularBlockError(
-                k, f"block {k} (size {block.shape[1]}) is not positive definite"
-                + ("" if jitter else "; consider a positive jitter")) from exc
+                k, f"block {k} (size {block.shape[0]}) is not positive definite") from exc
 
 
 class BlockCholesky:
@@ -295,16 +295,14 @@ class BlockCholesky:
 
     Takes the principal blocks Q[P_k, P_k] as one (K_s, s, s) stack per
     entry of ``part.stacks()`` (from ``diagonal_blocks(q, part)`` or an
-    objective's ``block_curvature``), checks and factors each stack (+ jitter
-    on the diagonal) in one batched pass, as the spectral kernels do, and
-    exposes the solves and congruences of the solver and the spectral
-    analysis, identical to dense ones against block_mask(Q, P). A failing
-    block is named by ``_raise_first_failure``: the lowest failing label.
+    objective's ``block_curvature``), checks and factors each stack in one
+    batched pass, as the spectral kernels do, and exposes the solves and
+    congruences of the solver and the spectral analysis, identical to dense
+    ones against block_mask(Q, P). A failing block is named by
+    ``_raise_first_failure``: the lowest failing label.
     """
 
-    def __init__(self, stacks, part: Partitioning, jitter: float = 0.0):
-        if not 0.0 <= jitter < np.inf:
-            raise InvalidArgumentError(f"jitter must be non-negative and finite, got {jitter}")
+    def __init__(self, stacks, part: Partitioning):
         self.part = part
         self.n = part.n
         self._stacks = part.stacks()
@@ -320,11 +318,11 @@ class BlockCholesky:
                     f"the stack of size-{idx.shape[1]} blocks holding block {labels[0]} "
                     f"has shape {stack.shape}, expected {want}")
         if any(_entry_fault(stack) for stack in stacks):
-            _raise_first_failure(self._stacks, stacks, self.n, jitter)
+            _raise_first_failure(self._stacks, stacks, self.n)
         try:
-            self._factors = [_cholesky(stack, jitter) for stack in stacks]
+            self._factors = [np.linalg.cholesky(stack) for stack in stacks]
         except np.linalg.LinAlgError:
-            _raise_first_failure(self._stacks, stacks, self.n, jitter)
+            _raise_first_failure(self._stacks, stacks, self.n)
             raise
 
     def _block_factors(self):

@@ -51,8 +51,10 @@ class ArmijoStep:
             raise InvalidArgumentError(f"c1 must lie in (0, 1), got {self.c1}")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidArgumentError(f"shrink must lie in (0, 1), got {self.shrink}")
-        if _check_integer(self.max_backtracks, "max_backtracks") < 1:
+        backtracks = _check_integer(self.max_backtracks, "max_backtracks")
+        if backtracks < 1:
             raise InvalidArgumentError("max_backtracks must be at least 1")
+        object.__setattr__(self, "max_backtracks", backtracks)
 
 
 @dataclass(frozen=True)
@@ -69,19 +71,18 @@ class SolverConfig:
     n_iters: int = 50
     model: str = objectives.EXACT_HESSIAN
     step: "FixedStep | ArmijoStep" = field(default_factory=FixedStep)
-    jitter: float = 0.0
 
     def __post_init__(self):
-        if _check_integer(self.k_blocks, "k_blocks") < 1:
+        for name in ("k_blocks", "seed", "n_iters"):  # stored as Python ints
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name))
+        if self.k_blocks < 1:
             raise InvalidArgumentError("k_blocks must be positive")
         if self.scheme not in SCHEMES:
             raise InvalidArgumentError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         check_seed(self.seed)
-        if _check_integer(self.n_iters, "n_iters") < 0:
+        if self.n_iters < 0:
             raise InvalidArgumentError("n_iters must be non-negative")
         objectives._check_model(self.model)
-        if not 0.0 <= self.jitter < np.inf:
-            raise InvalidArgumentError(f"jitter must be non-negative and finite, got {self.jitter}")
 
     def to_json_dict(self):
         step = {"kind": "fixed", "eta": self.step.eta} if isinstance(self.step, FixedStep) \
@@ -90,11 +91,10 @@ class SolverConfig:
         return {
             "k_blocks": self.k_blocks,
             "scheme": self.scheme,
-            "seed": int(self.seed),
+            "seed": self.seed,
             "n_iters": self.n_iters,
             "model": self.model,
             "step": step,
-            "jitter": self.jitter,
         }
 
 
@@ -156,32 +156,26 @@ def armijo_step_size(obj, x, fx: float, g, d, c1: float, shrink: float,
 def run(obj, config: SolverConfig) -> ConvergenceTrace:
     """Execute one solver run and record its convergence trace.
 
-    The static scheme draws a single partitioning from ``config.seed`` and
-    keeps it for all iterations; the dynamic scheme derives a fresh seed
-    (and partitioning) per iteration from the base seed. Deterministic
-    given the config. Each iterate's value and gradient are evaluated once,
-    when it is recorded, and the preconditioner is factored from the
-    objective's ``block_curvature``, so no full n x n curvature is formed:
-    one batched Cholesky per stack of same-size blocks, once per iteration,
-    or once per run when the scheme is static and the curvature constant.
-    A non-finite objective value aborts the run with a DivergenceError
-    carrying the partial trace.
+    A run is its list of partition seeds: ``config.seed`` at every step
+    (static) or ``derive_seed(config.seed, t)`` at step t (dynamic). A step
+    draws a partitioning only when its seed differs from the last step's,
+    and factors the objective's ``block_curvature`` (one batched Cholesky
+    per stack, no n x n curvature) only when the partitioning changed or
+    the curvature is not constant. Each iterate's value and gradient are
+    evaluated once. A non-finite value aborts the run with a
+    DivergenceError carrying the partial trace.
     """
     n = obj.n
     t_max = config.n_iters
+    if config.k_blocks > n:
+        raise InvalidArgumentError(f"k must satisfy 1 <= k <= n, got k={config.k_blocks}, n={n}")
     x = np.zeros(n)
     _, f_star = obj.optimum()
 
-    if config.scheme == STATIC:
-        seeds = [int(config.seed)] * t_max
-        static_part = sample_uniform_partition(n, config.k_blocks, config.seed)
-    else:
-        seeds = [derive_seed(config.seed, t) for t in range(t_max)]
-        static_part = None
-
+    seeds = [config.seed] * t_max if config.scheme == STATIC \
+        else [derive_seed(config.seed, t) for t in range(t_max)]
     eta = config.step.resolve(config.k_blocks) if isinstance(config.step, FixedStep) else None
-    reuse_chol = static_part is not None and obj.curvature_is_constant(config.model)
-    chol = None
+    refactor = not obj.curvature_is_constant(config.model)
 
     fvals = np.empty(t_max + 1)
     subopts = np.empty(t_max + 1)
@@ -202,11 +196,11 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
 
     grad = record(0)
     for t in range(t_max):
-        part = static_part if static_part is not None \
-            else sample_uniform_partition(n, config.k_blocks, seeds[t])
-        if chol is None or not reuse_chol:
-            chol = BlockCholesky(obj.block_curvature(x, part, config.model), part,
-                                 jitter=config.jitter)
+        new_part = t == 0 or seeds[t] != seeds[t - 1]
+        if new_part:
+            part = sample_uniform_partition(n, config.k_blocks, seeds[t])
+        if new_part or refactor:
+            chol = BlockCholesky(obj.block_curvature(x, part, config.model), part)
         d = -chol.solve(grad)
         if eta is not None:
             x = x + eta * d

@@ -39,6 +39,7 @@ import scipy.sparse
 from scipy.linalg.blas import dtrmm, dtrsv
 from scipy.linalg.lapack import dtrtri
 
+from .data import _check_alpha
 from .errors import InvalidArgumentError, SingularBlockError, UnsupportedLossError
 from .objectives import gram_matrix
 from .partition import (
@@ -46,11 +47,11 @@ from .partition import (
     BlockCholesky,
     Partitioning,
     _block_layout,
-    _cholesky,
     _enumerate_assignments,
     _flat_indices,
     _raise_first_failure,
     _sample_assignments,
+    _check_equal_blocks,
     check_symmetric_matrix,
     diagonal_blocks,
     sample_uniform_partition,  # noqa: F401  (perfbench/test_smoke.py traces it here)
@@ -135,7 +136,7 @@ def _block_factors(q, assignments):
         for ids, idx in layout:
             where = _flat_indices(idx, n)
             try:
-                lower = _cholesky(q.ravel()[where])
+                lower = np.linalg.cholesky(q.ravel()[where])
             except np.linalg.LinAlgError:
                 _raise_first_failure(layout, [q.ravel()[_flat_indices(i, n)] for _, i in layout], n)
                 raise
@@ -318,11 +319,8 @@ def uniform_closed_form(n: int, k_blocks: int, alpha: float) -> UniformClosedFor
     matrix and both eigenvalues are exactly 1 (epsilon = 0 by convention,
     as for alpha = 0).
     """
-    if (_check_integer(k_blocks, "k_blocks") < 1 or _check_integer(n, "n") < 1
-            or n % k_blocks != 0):
-        raise InvalidArgumentError(f"k must divide n, got n={n}, k={k_blocks}")
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must lie in [0, 1), got {alpha}")
+    n, k_blocks = _check_equal_blocks(n, k_blocks, "k_blocks")
+    _check_alpha(alpha)
     nk = n // k_blocks
     if k_blocks == 1 or alpha == 0.0:
         epsilon = 0.0
@@ -351,8 +349,7 @@ class SeparableToy:
 
 
 def separable_toy(alpha: float) -> SeparableToy:
-    if not 0.0 <= alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     return SeparableToy(alpha, 1.0, 1.0 - alpha, 1.0 / 3.0 + (2.0 / 3.0) * (1.0 - alpha))
 
 
@@ -568,7 +565,7 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     for any thread count.
     """
     q = check_symmetric_matrix(q)
-    n = q.shape[0]
+    n, k_blocks = q.shape[0], _check_integer(k_blocks, "k_blocks")
     if exact:
         assignments = mean_rows = _enumerate_assignments(n, k_blocks, cap)
         keys = range(len(assignments))

@@ -190,7 +190,7 @@ class TestSpectral:
         err = capsys.readouterr().err
         assert code == 3
         assert err == (f"blockprec: numerical failure: block {joined[0]} (size 3) is not "
-                       "positive definite; consider a positive jitter\n")
+                       "positive definite\n")
         assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.parametrize("samples", [0, -3])
@@ -533,7 +533,7 @@ class TestExitContract:
         capsys.readouterr()
         self.assert_one_line_exit(run_cli(*args, "--k", 2, "--seed", seed), capsys)
 
-    @pytest.mark.parametrize("flags", [("--eta", "nan"), ("--eta", "inf"), ("--jitter", "nan"),
+    @pytest.mark.parametrize("flags", [("--eta", "nan"), ("--eta", "inf"),
                                        ("--objective", "logistic", "--reg", "inf")])
     def test_non_finite_solver_value(self, tmp_path, capsys, flags):
         qfile = tmp_path / "u"
@@ -543,6 +543,19 @@ class TestExitContract:
         code = run_cli("solve", "--objective", "quadratic", "--q", str(qfile) + ".q", "--k", 2,
                        "--t", 5, "--seed", 0, "--out", tmp_path / "run", *flags)
         self.assert_one_line_exit(code, capsys)
+        assert not list(tmp_path.glob("run*"))
+
+    def test_jitter_is_not_a_flag(self, tmp_path, capsys):
+        qfile = tmp_path / "u"
+        run_cli("gen", "--kind", "uniform", "--n", 8, "--alpha", 0.1,
+                "--seed", 0, "--out", qfile)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jitter": 0}))
+        args = ("solve", "--objective", "quadratic", "--q", str(qfile) + ".q", "--k", 2,
+                "--seed", 0, "--out", tmp_path / "run")
+        for extra in (("--jitter", 0), ("--config", cfg)):
+            capsys.readouterr()
+            self.assert_one_line_exit(run_cli(*args, *extra), capsys)
         assert not list(tmp_path.glob("run*"))
 
     @staticmethod
@@ -625,8 +638,7 @@ _FLAGS = {
               "max-backtracks": (st.integers(1, 60), _WILD_INT, False),
               "t": (st.integers(0, 32), _WILD_INT, False),
               "repeats": (st.integers(1, 3), _WILD_INT, False),
-              "reg": (_POSITIVE, _REAL, False), "jitter": (st.just(0.0), _REAL, False),
-              "normalize": None},
+              "reg": (_POSITIVE, _REAL, False), "normalize": None},
     "sweep": {"n": (_SIZE, _WILD_INT, True),
               "k-grid": (st.lists(st.integers(1, 4), min_size=1, max_size=3).map(
                   lambda v: ",".join(map(str, v))), _WILD_TEXT, True),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,12 @@ from blockprec import (
     partition_count,
     sample_uniform_partition,
 )
-from blockprec.partition import _block_layout, _sample_assignments
+from blockprec.partition import (
+    DEFAULT_ENUMERATION_CAP,
+    _block_layout,
+    _enumerate_assignments,
+    _sample_assignments,
+)
 
 # numpy warns when uint64 scalar arithmetic overflows; the sampler must wrap silently
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -243,6 +250,28 @@ class TestEnumeration:
             if expected <= 1000:
                 assert len(enumerate_partitions(n, k)) == expected
 
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 13)
+                                      for k in range(1, n + 1) if n % k == 0])
+    def test_order_matches_depth_first_recursion(self, n, k):
+        # block j takes the lowest coordinate no earlier block covers, plus each
+        # lexicographic choice of companions among the rest, depth first
+        def blockings(free):
+            if not free:
+                yield ()
+                return
+            for companions in itertools.combinations(free[1:], n // k - 1):
+                block = (free[0], *companions)
+                for tail in blockings([i for i in free if i not in block]):
+                    yield (block, *tail)
+
+        want = np.empty((partition_count(n, k), n), dtype=np.intp)
+        for row, blocks in zip(want, blockings(list(range(n))), strict=True):
+            for label, block in enumerate(blocks):
+                row[list(block)] = label
+        got = _enumerate_assignments(n, k, DEFAULT_ENUMERATION_CAP)
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, want)
+
     def test_cap_exceeded(self):
         with pytest.raises(EnumerationCapError):
             enumerate_partitions(12, 4, cap=100)
@@ -378,25 +407,6 @@ class TestBlockSolve:
             BlockCholesky(diagonal_blocks(q, part), part).solve(np.ones(4))
         assert excinfo.value.block == 0
 
-    def test_jitter_rescues_singular_block(self):
-        q = np.array([[1.0, 1.0], [1.0, 1.0]])
-        part = Partitioning(np.array([0, 0]), 1)
-        with pytest.raises(SingularBlockError):
-            BlockCholesky(diagonal_blocks(q, part), part).solve(np.ones(2))
-        d = BlockCholesky(diagonal_blocks(q, part), part, jitter=1e-6).solve(np.ones(2))
-        np.testing.assert_allclose((q + 1e-6 * np.eye(2)) @ d, np.ones(2), rtol=1e-9)
-
-    def test_negative_jitter_rejected(self):
-        part = Partitioning(np.array([0, 0]), 1)
-        with pytest.raises(InvalidArgumentError):
-            BlockCholesky(diagonal_blocks(np.eye(2), part), part, jitter=-1.0).solve(np.ones(2))
-
-    @pytest.mark.parametrize("jitter", [np.nan, np.inf])
-    def test_non_finite_jitter_rejected(self, jitter):
-        part = sample_uniform_partition(4, 2, 0)
-        with pytest.raises(InvalidArgumentError, match="jitter"):
-            BlockCholesky(diagonal_blocks(np.eye(4), part), part, jitter=jitter)
-
     def test_blocks_must_match_partitioning(self):
         part = Partitioning(np.array([0, 1, 1]), 2)
         with pytest.raises(InvalidArgumentError, match="expected 2 blocks"):
@@ -409,14 +419,12 @@ class TestBlockSolve:
             diagonal_blocks(np.eye(4), part)
 
 
-def per_block_solve(q, part, g, jitter):
+def per_block_solve(q, part, g):
     """The block solve as a loop over the blocks: a Cholesky and a cho_solve per block."""
     d = np.empty_like(g)
     for label in range(part.k_blocks):
         idx = np.flatnonzero(part.assignment == label)
         block = q[np.ix_(idx, idx)]
-        if jitter:
-            block = block + jitter * np.eye(idx.size)
         d[idx] = scipy.linalg.cho_solve((np.linalg.cholesky(block), True), g[idx],
                                         check_finite=False)
     return d
@@ -427,8 +435,7 @@ OUT_OF_ORDER = Partitioning(np.array([2, 0, 1, 0, 2, 0]), 3)
 
 
 class TestStackedSolve:
-    @pytest.mark.parametrize("jitter", [0.0, 1e-6])
-    def test_bit_identical_to_per_block_cho_solve(self, jitter):
+    def test_bit_identical_to_per_block_cho_solve(self):
         rng = np.random.default_rng(16)
         parts = [OUT_OF_ORDER]
         for trial in range(20):
@@ -440,8 +447,8 @@ class TestStackedSolve:
             assert len(part.stacks()) == len(set(sizes))
             q = random_spd(part.n, rng)
             g = rng.standard_normal(part.n)
-            got = BlockCholesky(diagonal_blocks(q, part), part, jitter=jitter).solve(g)
-            np.testing.assert_array_equal(got, per_block_solve(q, part, g, jitter))
+            got = BlockCholesky(diagonal_blocks(q, part), part).solve(g)
+            np.testing.assert_array_equal(got, per_block_solve(q, part, g))
 
     def test_one_cholesky_per_block_size(self, monkeypatch):
         calls = []
@@ -479,12 +486,6 @@ class TestStackedSolve:
         q = self.two_bad_blocks("singular")
         with pytest.raises(SingularBlockError) as excinfo:
             BlockCholesky(diagonal_blocks(q, OUT_OF_ORDER), OUT_OF_ORDER)
-        assert excinfo.value.block == 0
-        assert str(excinfo.value) == \
-            "block 0 (size 3) is not positive definite; consider a positive jitter"
-        q[[1, 3, 5], [1, 3, 5]] = 0.5  # block 0 is now indefinite whatever the jitter
-        with pytest.raises(SingularBlockError) as excinfo:
-            BlockCholesky(diagonal_blocks(q, OUT_OF_ORDER), OUT_OF_ORDER, jitter=1e-6)
         assert excinfo.value.block == 0
         assert str(excinfo.value) == "block 0 (size 3) is not positive definite"
 

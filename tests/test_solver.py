@@ -25,7 +25,8 @@ from blockprec import (
     sample_uniform_partition,
     uniform_closed_form,
 )
-from blockprec.solver import write_traces_csv
+from blockprec import solver
+from blockprec.solver import write_traces_csv, write_traces_json
 
 
 def random_quadratic(n, rng, ridge_eps=0.2):
@@ -325,6 +326,62 @@ class TestRun:
         assert lines[2].startswith("0,0,")
 
 
+class TestSchedule:
+    """A run is its list of seeds; the static and dynamic schemes differ in nothing else."""
+
+    @pytest.mark.parametrize("scheme, curvature, builds, draws", [
+        ("static", "ridge", 1, 1),
+        ("static", "smoothness_bound", 1, 1),
+        ("static", "exact_hessian", 7, 1),
+        ("dynamic", "ridge", 7, 7),
+        ("dynamic", "smoothness_bound", 7, 7),
+        ("dynamic", "exact_hessian", 7, 7),
+    ])
+    def test_factors_only_when_the_partitioning_or_the_curvature_changes(
+            self, monkeypatch, scheme, curvature, builds, draws):
+        from blockprec import SMOOTHNESS_BOUND, logistic
+        rng = np.random.default_rng(23)
+        a = rng.standard_normal((30, 9))
+        if curvature == "ridge":
+            obj, model = ridge(a, rng.standard_normal(30), lam=0.5), EXACT_HESSIAN
+        else:
+            obj = logistic(a, np.where(rng.standard_normal(30) >= 0, 1.0, -1.0), lam=0.5)
+            model = SMOOTHNESS_BOUND if curvature == "smoothness_bound" else EXACT_HESSIAN
+        counts = {"builds": 0, "draws": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(solver, "BlockCholesky", counted("builds", BlockCholesky))
+        monkeypatch.setattr(solver, "sample_uniform_partition",
+                            counted("draws", sample_uniform_partition))
+        run(obj, SolverConfig(k_blocks=3, scheme=scheme, seed=6, n_iters=7, model=model))
+        assert counts == {"builds": builds, "draws": draws}
+
+    @pytest.mark.parametrize("n_iters", [0, 1])
+    @pytest.mark.parametrize("scheme", ["static", "dynamic"])
+    def test_more_blocks_than_coordinates_rejected(self, scheme, n_iters):
+        obj = Quadratic(np.eye(3), np.ones(3))
+        with pytest.raises(InvalidArgumentError, match="^k must satisfy 1 <= k <= n, got k=5"):
+            run(obj, SolverConfig(k_blocks=5, scheme=scheme, n_iters=n_iters))
+
+    def test_numpy_integer_counts_write_the_same_json(self):
+        rng = np.random.default_rng(24)
+        obj = random_quadratic(6, rng)
+        outputs = []
+        for k, seed, t, backtracks in ((2, 7, 3, 40),
+                                       (np.int64(2), np.uint64(7), np.int32(3), np.int64(40))):
+            config = SolverConfig(k_blocks=k, seed=seed, n_iters=t,
+                                  step=ArmijoStep(max_backtracks=backtracks))
+            buf = io.StringIO()
+            write_traces_json(buf, config, [run(obj, config)])
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+
+
 class TestGeneralModelParams:
     def test_valid_ranges(self):
         GeneralModelParams(xi=1.0, alpha_decrease=0.0, l_lipschitz=2.0)
@@ -341,11 +398,6 @@ class TestNonFiniteSettings:
     def test_step_must_be_positive_and_finite(self, eta):
         with pytest.raises(InvalidArgumentError, match="step size"):
             FixedStep(eta)
-
-    @pytest.mark.parametrize("jitter", [np.nan, np.inf, -1.0])
-    def test_jitter_must_be_non_negative_and_finite(self, jitter):
-        with pytest.raises(InvalidArgumentError, match="jitter"):
-            SolverConfig(k_blocks=2, jitter=jitter)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
     def test_regularization_must_be_non_negative_and_finite(self, lam):

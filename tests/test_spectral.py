@@ -439,6 +439,18 @@ class TestReport:
         assert parsed["n"] == 12 and parsed["k"] == 3
         assert len(parsed["samples"]) == 20
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_numpy_integer_counts_write_the_same_json(self, exact):
+        q = gen_uniform_q(6, 0.3)
+        outputs = []
+        for n, k, samples in ((6, 2, 5), (np.int64(6), np.int64(2), np.int64(5))):
+            report = build_report(q, k, n_samples=samples, seed=3, exact=exact,
+                                  closed_form=uniform_closed_form(n, k, 0.3))
+            buf = io.StringIO()
+            report.write_json(buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
+
     def test_identity_all_ones(self):
         report = build_report(np.eye(9), 3, n_samples=15, seed=1)
         assert all(s.lambda_min == pytest.approx(1.0, abs=1e-12) for s in report.samples)
