@@ -45,10 +45,7 @@ from .solver import (
     run_repeats,
 )
 from .spectral import (
-    GeneralModelParams,
-    GeneralRate,
     SpectralReport,
-    SpectralSample,
     UniformClosedForm,
     build_report,
     expected_lambda_exact,

@@ -243,13 +243,13 @@ def cmd_spectral(args, argv):
         if np.max(np.abs(q - data.gen_uniform_q(q.shape[0], alpha))) > 1e-12:
             raise InvalidArgumentError(
                 f"--closed-form: the matrix is not uniform with its sidecar's alpha = {alpha!r}")
-        closed = spectral.uniform_closed_form(q.shape[0], args.k, float(alpha))
+        closed = spectral.uniform_closed_form(q.shape[0], args.k, alpha).to_json_dict()
     report = spectral.build_report(q, args.k, n_samples=args.samples, seed=args.seed,
-                                   exact=args.exact, closed_form=closed,
-                                   threads=args.threads)
+                                   exact=args.exact, threads=args.threads)
     _ensure_parent(args.out)
     with open(args.out + ".json", "w", encoding="ascii") as fh:
-        report.write_json(fh)
+        json.dump({**report.to_json_dict(), "closed_form": closed}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     with open(args.out + "_samples.csv", "w", encoding="ascii") as fh:
         report.write_samples_csv(fh, comment=_invocation(argv))
     return 0

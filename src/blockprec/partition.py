@@ -65,7 +65,7 @@ def _entry_fault(stack):
             f"exceeds {SYMMETRY_TOL:g} * max(1, max |Q| = {scale[i]:.3e})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partitioning:
     """Assignment of n coordinates to K disjoint non-empty blocks.
 
@@ -112,14 +112,6 @@ class Partitioning:
             stacks = _block_layout(self.assignment[None, :])
             object.__setattr__(self, "_stacks", stacks)
         return stacks
-
-    def __eq__(self, other):
-        if not isinstance(other, Partitioning):
-            return NotImplemented
-        return self.k_blocks == other.k_blocks and np.array_equal(self.assignment, other.assignment)
-
-    def __hash__(self):
-        return hash((self.k_blocks, self.assignment.tobytes()))
 
 
 def _block_layout(assignments):

@@ -31,8 +31,10 @@ class FixedStep:
     eta: float | None = None
 
     def __post_init__(self):
-        if self.eta is not None and not 0.0 < self.eta < np.inf:
-            raise InvalidArgumentError(f"step size must be positive and finite, got {self.eta}")
+        if self.eta is not None:
+            if not 0.0 < self.eta < np.inf:
+                raise InvalidArgumentError(f"step size must be positive and finite, got {self.eta}")
+            object.__setattr__(self, "eta", float(self.eta))
 
     def resolve(self, k_blocks: int) -> float:
         return 1.0 / k_blocks if self.eta is None else self.eta
@@ -51,6 +53,8 @@ class ArmijoStep:
             raise InvalidArgumentError(f"c1 must lie in (0, 1), got {self.c1}")
         if not 0.0 < self.shrink < 1.0:
             raise InvalidArgumentError(f"shrink must lie in (0, 1), got {self.shrink}")
+        object.__setattr__(self, "c1", float(self.c1))
+        object.__setattr__(self, "shrink", float(self.shrink))
         backtracks = _check_integer(self.max_backtracks, "max_backtracks")
         if backtracks < 1:
             raise InvalidArgumentError("max_backtracks must be at least 1")
@@ -135,11 +139,14 @@ def armijo_step_size(obj, x, fx: float, g, d, c1: float, shrink: float,
 
     The test is f(x + beta d) <= f(x) + c1 * beta * g^T d, where ``fx`` and
     ``g`` are f(x) and grad f(x), which the caller has already evaluated. At
-    most ``max_backtracks`` candidates are tried; d must be a descent
-    direction.
+    most ``max_backtracks`` candidates are tried. d must be a descent
+    direction or zero, as at an exact optimum, where beta = 1 passes with
+    equality.
     """
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
+    if not d.any():
+        return 1.0
     slope = float(np.asarray(g, dtype=float) @ d)
     if slope >= 0.0:
         raise InvalidArgumentError(

@@ -28,7 +28,6 @@ R X R^T alone costs 4n^3 flops there. ``lambda_min_precond`` takes one
 partitioning's lambda_min on L^{-1} Q L^{-T} with Q_P = L L^T instead.
 """
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -321,6 +320,7 @@ def uniform_closed_form(n: int, k_blocks: int, alpha: float) -> UniformClosedFor
     """
     n, k_blocks = _check_equal_blocks(n, k_blocks, "k_blocks")
     _check_alpha(alpha)
+    alpha = float(alpha)
     nk = n // k_blocks
     if k_blocks == 1 or alpha == 0.0:
         epsilon = 0.0
@@ -423,84 +423,41 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
     return mu_loss / (k * gamma_loss) * lam
 
 
-@dataclass(frozen=True)
-class GeneralModelParams:
-    """Constants of the general auxiliary-model analysis, for rate reporting.
-
-    xi weights the quadratic model in the upper bound on f, alpha_decrease
-    is the guaranteed per-step contraction of the model optimum, and
-    l_lipschitz is the Lipschitz constant of f. These are never enforced
-    at runtime.
-    """
-
-    xi: float = 1.0
-    alpha_decrease: float = 0.0
-    l_lipschitz: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.xi <= 1.0:
-            raise InvalidArgumentError(f"xi must lie in (0, 1], got {self.xi}")
-        if not 0.0 <= self.alpha_decrease < 1.0:
-            raise InvalidArgumentError(
-                f"alpha_decrease must lie in [0, 1), got {self.alpha_decrease}")
-        if not 0.0 < self.l_lipschitz < np.inf:
-            raise InvalidArgumentError(
-                f"l_lipschitz must be positive and finite, got {self.l_lipschitz}")
-
-
-@dataclass(frozen=True)
-class GeneralRate:
-    """Per-iteration decrease constant and contraction for a general model."""
-
-    rho: float
-    contraction: float
-
-
-def rate_general(q, parts, params: GeneralModelParams) -> GeneralRate:
-    """Decrease constant rho = xi/(2K) lambda_min(Q^T E[Q_P^{-1}] Q).
+def rate_general(q, parts, xi: float = 1.0) -> float:
+    """Decrease constant rho = xi/(2K) lambda_min(Q^T E[Q_P^{-1}] Q) for a general model.
 
     The expectation is the mean over ``parts``, as in ``rate_quadratic``.
-    Also reports the induced contraction factor 1 - rho (1 - alpha)/L.
-    Reporting only; nothing here is enforced on solver runs.
+    ``xi`` in (0, 1] weights the quadratic model in the upper bound on f; an
+    analysis with per-step model decrease alpha and Lipschitz constant L
+    contracts by 1 - rho (1 - alpha)/L. Reporting only; nothing here is
+    enforced on solver runs.
     """
+    if not 0.0 < xi <= 1.0:
+        raise InvalidArgumentError(f"xi must lie in (0, 1], got {xi}")
     q = check_symmetric_matrix(q)
     k, assignments = _check_parts(parts, q.shape[0])
-    lam = _min_eigenvalue(q.T @ _mean_inverse(q, assignments) @ q)
-    rho = params.xi / (2.0 * k) * lam
-    return GeneralRate(rho, 1.0 - rho * (1.0 - params.alpha_decrease) / params.l_lipschitz)
+    return float(xi) / (2.0 * k) * _min_eigenvalue(q.T @ _mean_inverse(q, assignments) @ q)
 
 
-@dataclass(frozen=True)
-class SpectralSample:
-    """lambda_min(Q_P^{-1} Q) for one partitioning.
-
-    ``key`` is the partition seed (sampled mode) or the enumeration index
-    (exact mode).
-    """
-
-    key: int
-    lambda_min: float
-
-
-@dataclass
+@dataclass(eq=False)
 class SpectralReport:
     """Distribution of per-partitioning eigenvalues plus the repartitioning value.
 
-    ``samples`` holds lambda_min(Q_P^{-1} Q) across partitionings;
-    ``lambda_min_expected`` is lambda_min(E[Q_P^{-1}] Q) with estimator
-    metadata: in sampled mode the plug-in value with its delta-method
-    ``stderr``, which measures spread only, not the low bias of lambda_min of
-    a mean. rho values are the corresponding rate constants lambda / K.
+    ``lambdas[i]`` is lambda_min(Q_P^{-1} Q) for the partitioning with key
+    ``keys[i]``: its partition seed (sampled mode) or enumeration index
+    (exact mode). ``lambda_min_expected`` is lambda_min(E[Q_P^{-1}] Q): in
+    exact mode over every partitioning, with ``stderr`` None; in sampled
+    mode the plug-in value with its delta-method ``stderr``, which measures
+    spread only, not the low bias of lambda_min of a mean. rho values are
+    the corresponding rate constants lambda / K.
     """
 
     n: int
     k_blocks: int
-    samples: list
+    keys: list
+    lambdas: np.ndarray
     lambda_min_expected: float
-    estimator: str
-    mc_samples: int
     stderr: float | None
-    closed_form: UniformClosedForm | None = None
 
     @property
     def rho_dynamic(self) -> float:
@@ -508,43 +465,37 @@ class SpectralReport:
 
     @property
     def rho_static_min(self) -> float:
-        return min(s.lambda_min for s in self.samples) / self.k_blocks
+        return float(self.lambdas.min()) / self.k_blocks
 
     @property
     def rho_static_max(self) -> float:
-        return max(s.lambda_min for s in self.samples) / self.k_blocks
+        return float(self.lambdas.max()) / self.k_blocks
 
     def to_json_dict(self):
         return {
             "n": self.n,
             "k": self.k_blocks,
             "lambda_min_expected": self.lambda_min_expected,
-            "estimator": ({"kind": "exact enumeration"} if self.estimator == "exact"
-                          else {"kind": "mc", "samples": self.mc_samples,
-                                "stderr": self.stderr}),
+            "estimator": ({"kind": "exact enumeration"} if self.stderr is None
+                          else {"kind": "mc", "samples": len(self.keys), "stderr": self.stderr}),
             "rho_dynamic": self.rho_dynamic,
             "rho_static_min": self.rho_static_min,
             "rho_static_max": self.rho_static_max,
-            "samples": [{"key": int(s.key), "lambda_min": s.lambda_min}
-                        for s in self.samples],
-            "closed_form": self.closed_form.to_json_dict() if self.closed_form else None,
+            "samples": [{"key": key, "lambda_min": lam}
+                        for key, lam in zip(self.keys, self.lambdas.tolist())],
         }
-
-    def write_json(self, fh):
-        json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
     def write_samples_csv(self, fh, comment: str | None = None):
         if comment is not None:
             fh.write(f"# {comment}\n")
         fh.write("lambda_min\n")
-        for s in self.samples:
-            fh.write(f"{float(s.lambda_min)!r}\n")
+        for lam in self.lambdas.tolist():
+            fh.write(f"{lam!r}\n")
 
 
 def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
-                 exact: bool = False, closed_form: UniformClosedForm | None = None,
-                 cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1) -> SpectralReport:
+                 exact: bool = False, cap: int = DEFAULT_ENUMERATION_CAP,
+                 threads: int = 1) -> SpectralReport:
     """Sample the eigenvalue distribution and estimate the repartitioning value.
 
     The distribution of lambda_min(Q_P^{-1} Q) is computed in chunks of at
@@ -568,7 +519,7 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     n, k_blocks = q.shape[0], _check_integer(k_blocks, "k_blocks")
     if exact:
         assignments = mean_rows = _enumerate_assignments(n, k_blocks, cap)
-        keys = range(len(assignments))
+        keys = list(range(len(assignments)))
     else:
         keys = _sample_seeds(n_samples, derive_seed(seed, 0))
         assignments = _sample_assignments(n, k_blocks, keys)
@@ -587,6 +538,4 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
               for lo in range(0, len(assignments), step)]
     # The mean goes first, so the pool starts it beside the first chunk.
     (value, stderr), *values = map_ordered(lambda task: task(), [mean, *chunks], threads)
-    samples = [SpectralSample(key, lam) for key, lam in zip(keys, np.concatenate(values).tolist())]
-    return SpectralReport(n, k_blocks, samples, value, "exact" if exact else "mc",
-                          len(samples), stderr, closed_form)
+    return SpectralReport(n, k_blocks, keys, np.concatenate(values), value, stderr)

@@ -258,7 +258,7 @@ def _violin_dominance(path, name, expect_shape=None):
     gram = np.asarray(gram.todense(), dtype=float)
     q = 0.5 * (gram + gram.T) + np.eye(ds.n_features)
     report = build_report(q, 5, n_samples=1000, seed=31)
-    best_static = max(s.lambda_min for s in report.samples)
+    best_static = float(report.lambdas.max())
     return report.lambda_min_expected, best_static
 
 

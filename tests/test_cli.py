@@ -15,6 +15,7 @@ from blockprec import (
     load_q,
     sample_uniform_partition,
     save_q,
+    uniform_closed_form,
 )
 from blockprec.cli import main
 
@@ -99,6 +100,31 @@ class TestSpectral:
         lines = (tmp_path / "rep_samples.csv").read_text().strip().split("\n")
         assert lines[1] == "lambda_min"
         assert len(lines) == 52
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_json_layout(self, tmp_path, exact, closed):
+        qfile, out = tmp_path / "u", tmp_path / "rep"
+        run_cli("gen", "--kind", "uniform", "--n", 6, "--alpha", 0.3, "--seed", 0, "--out", qfile)
+        flags = (["--exact"] if exact else ["--samples", 7]) + (["--closed-form"] if closed else [])
+        assert run_cli("spectral", "--q", str(qfile) + ".q", "--k", 2, *flags,
+                       "--seed", 4, "--out", out) == 0
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert set(report) == {"n", "k", "lambda_min_expected", "estimator", "rho_dynamic",
+                               "rho_static_min", "rho_static_max", "samples", "closed_form"}
+        if exact:
+            assert report["estimator"] == {"kind": "exact enumeration"}
+            assert [s["key"] for s in report["samples"]] == list(range(10))
+        else:
+            assert set(report["estimator"]) == {"kind", "samples", "stderr"}
+            assert report["estimator"]["kind"] == "mc" and report["estimator"]["samples"] == 7
+            assert isinstance(report["estimator"]["stderr"], float)
+        want = uniform_closed_form(6, 2, 0.3).to_json_dict() if closed else None
+        assert report["closed_form"] == want
+        assert all(set(s) == {"key", "lambda_min"} for s in report["samples"])
+        _, rows = read_csv_rows(tmp_path / "rep_samples.csv")
+        assert [s["lambda_min"] for s in report["samples"]] == [float(r["lambda_min"])
+                                                               for r in rows]
 
     def test_identity_all_ones(self, tmp_path):
         qfile = tmp_path / "i"
@@ -363,6 +389,16 @@ class TestSolve:
         _, rows = read_csv_rows(tmp_path / "run_dynamic_runs.csv")
         fvals = [float(r["fval"]) for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(fvals, fvals[1:]))
+
+    def test_armijo_at_an_exact_optimum(self, tmp_path):
+        # Q = I and K = 1: the first step lands on x*, where d = 0 passes the Armijo test
+        qfile, out = tmp_path / "u", tmp_path / "s"
+        run_cli("gen", "--kind", "uniform", "--n", 4, "--alpha", 0.0, "--seed", 0, "--out", qfile)
+        assert run_cli("solve", "--objective", "quadratic", "--q", str(qfile) + ".q", "--k", 1,
+                       "--step", "armijo", "--t", 3, "--seed", 0, "--out", out) == 0
+        for scheme in ("static", "dynamic"):
+            _, rows = read_csv_rows(tmp_path / f"s_{scheme}_runs.csv")
+            assert [float(r["subopt"]) for r in rows][1:] == [0.0, 0.0, 0.0]
 
     def test_divergence_exit_3_with_partial_trace(self, tmp_path):
         qfile = tmp_path / "u"

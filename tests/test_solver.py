@@ -11,7 +11,6 @@ from blockprec import (
     DivergenceError,
     EXACT_HESSIAN,
     FixedStep,
-    GeneralModelParams,
     InvalidArgumentError,
     LineSearchError,
     Quadratic,
@@ -105,6 +104,23 @@ class TestArmijo:
         with pytest.raises(InvalidArgumentError):
             armijo_step_size(obj, x, obj.value(x), obj.gradient(x), +obj.gradient(x), c1=0.3,
                              shrink=0.5, max_backtracks=30)
+
+    def test_zero_direction_accepts_one(self):
+        rng = np.random.default_rng(5)
+        obj = random_quadratic(5, rng)
+        x = rng.standard_normal(5)
+        assert armijo_step_size(obj, x, obj.value(x), obj.gradient(x), np.zeros(5), c1=0.3,
+                                shrink=0.5, max_backtracks=30) == 1.0
+
+    def test_nonzero_direction_with_zero_slope_rejected(self):
+        rng = np.random.default_rng(5)
+        obj = random_quadratic(5, rng)
+        x = rng.standard_normal(5)
+        g = obj.gradient(x)
+        d = np.zeros(5)
+        d[:2] = g[1], -g[0]  # g^T d = g0 g1 - g1 g0 = 0 exactly
+        with pytest.raises(InvalidArgumentError, match="not a descent direction"):
+            armijo_step_size(obj, x, obj.value(x), g, d, c1=0.3, shrink=0.5, max_backtracks=30)
 
     def test_returned_beta_is_maximal(self):
         # strongly correlated data with K = 4 blocks makes the masked
@@ -381,16 +397,18 @@ class TestSchedule:
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1]
 
-
-class TestGeneralModelParams:
-    def test_valid_ranges(self):
-        GeneralModelParams(xi=1.0, alpha_decrease=0.0, l_lipschitz=2.0)
-        with pytest.raises(InvalidArgumentError):
-            GeneralModelParams(xi=0.0)
-        with pytest.raises(InvalidArgumentError):
-            GeneralModelParams(alpha_decrease=1.0)
-        with pytest.raises(InvalidArgumentError):
-            GeneralModelParams(l_lipschitz=0.0)
+    @pytest.mark.parametrize("step", [
+        lambda cast: FixedStep(cast(0.3)),
+        lambda cast: ArmijoStep(c1=cast(0.25), shrink=cast(0.7))], ids=["fixed", "armijo"])
+    def test_numpy_float_settings_write_the_same_json(self, step):
+        obj = random_quadratic(6, np.random.default_rng(25))
+        outputs = []
+        for cast in (lambda v: float(np.float32(v)), np.float32):
+            config = SolverConfig(k_blocks=2, seed=7, n_iters=3, step=step(cast))
+            buf = io.StringIO()
+            write_traces_json(buf, config, [run(obj, config)])
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1]
 
 
 class TestNonFiniteSettings:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from blockprec import (
     BlockCholesky,
-    GeneralModelParams,
     InvalidArgumentError,
     Partitioning,
     SingularBlockError,
@@ -199,6 +198,10 @@ class TestClosedForms:
         assert form.lambda_static == 1.0
         assert form.lambda_dynamic == 1.0
 
+    def test_numpy_alpha_writes_the_same_json(self):
+        want = json.dumps(uniform_closed_form(6, 2, float(np.float32(0.3))).to_json_dict())
+        assert json.dumps(uniform_closed_form(6, 2, np.float32(0.3)).to_json_dict()) == want
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InvalidArgumentError):
             uniform_closed_form(10, 3, 0.1)
@@ -360,7 +363,7 @@ class TestRates:
         with pytest.raises(InvalidArgumentError, match="parts must be|partitioning [01] has"):
             rate_glm(np.eye(4), 1.0, 1.0, parts)
         with pytest.raises(InvalidArgumentError, match="parts must be|partitioning [01] has"):
-            rate_general(np.eye(4), parts, GeneralModelParams())
+            rate_general(np.eye(4), parts)
 
     @pytest.mark.parametrize("constants", [
         {"gamma_loss": 0.0}, {"gamma_loss": -1.0}, {"gamma_loss": np.nan},
@@ -379,17 +382,21 @@ class TestRates:
             with pytest.raises(InvalidArgumentError, match="non-finite"):
                 rate_glm(data, 1.0, 1.0, enumerate_partitions(4, 2))
 
-    @pytest.mark.parametrize("l_lipschitz", [np.nan, np.inf])
-    def test_general_lipschitz_checked(self, l_lipschitz):
-        with pytest.raises(InvalidArgumentError, match="l_lipschitz"):
-            GeneralModelParams(l_lipschitz=l_lipschitz)
+    @pytest.mark.parametrize("xi", [0.0, -0.5, 1.5, np.nan, np.inf])
+    def test_general_xi_checked(self, xi):
+        with pytest.raises(InvalidArgumentError, match="xi must lie in"):
+            rate_general(np.eye(4), enumerate_partitions(4, 2), xi)
+
+    def test_general_numpy_xi_gives_the_float_rate(self):
+        q = random_spd(6, np.random.default_rng(11))
+        parts = enumerate_partitions(6, 2)
+        got = rate_general(q, parts, np.float32(0.7))
+        assert type(got) is float
+        assert json.dumps(got) == json.dumps(rate_general(q, parts, float(np.float32(0.7))))
 
     def test_general_identity(self):
-        params = GeneralModelParams(xi=1.0, alpha_decrease=0.0, l_lipschitz=1.0)
         part = Partitioning(np.zeros(3, dtype=int), 1)
-        got = rate_general(np.eye(3), [part], params)
-        assert got.rho == pytest.approx(0.5, abs=1e-12)
-        assert got.contraction == pytest.approx(0.5, abs=1e-12)
+        assert rate_general(np.eye(3), [part]) == pytest.approx(0.5, abs=1e-12)
 
     def test_general_smoothness_model_identity(self):
         # scaling the curvature by gamma scales the decrease constant by
@@ -397,29 +404,20 @@ class TestRates:
         rng = np.random.default_rng(9)
         m = random_spd(6, rng)
         gamma = 0.25
-        params = GeneralModelParams(xi=1.0)
-        got = rate_general(gamma * m, enumerate_partitions(6, 2), params)
+        got = rate_general(gamma * m, enumerate_partitions(6, 2))
         expected_inv = _mean_inverse(m, _enumerate_assignments(6, 2, DEFAULT_ENUMERATION_CAP))
         prod = m @ expected_inv @ m
         lam = np.linalg.eigvalsh(0.5 * (prod + prod.T))[0]
-        assert got.rho == pytest.approx(gamma / (2 * 2) * lam, rel=1e-10)
-
-    def test_general_contraction_in_unit_interval(self):
-        rng = np.random.default_rng(10)
-        q = random_spd(6, rng)
-        params = GeneralModelParams(xi=0.7, alpha_decrease=0.2, l_lipschitz=4.0)
-        got = rate_general(q, enumerate_partitions(6, 2), params)
-        if 0.0 < got.rho * (1 - params.alpha_decrease) / params.l_lipschitz < 1.0:
-            assert 0.0 < got.contraction < 1.0
+        assert got == pytest.approx(gamma / (2 * 2) * lam, rel=1e-10)
 
 
 class TestReport:
     def test_exact_mode_enumerates(self):
         q = gen_separable_q(4, 2, 0.6)
         report = build_report(q, 2, exact=True)
-        assert report.estimator == "exact"
-        assert len(report.samples) == 3
-        lams = sorted(s.lambda_min for s in report.samples)
+        assert report.stderr is None
+        assert report.keys == [0, 1, 2]
+        lams = np.sort(report.lambdas)
         assert lams[0] == pytest.approx(0.4, abs=1e-10)
         assert lams[2] == pytest.approx(1.0, abs=1e-10)
         assert report.lambda_min_expected == pytest.approx(0.6, abs=1e-10)
@@ -431,7 +429,7 @@ class TestReport:
         q = gen_uniform_q(12, 0.3)
         a = build_report(q, 3, n_samples=20, seed=5)
         b = build_report(q, 3, n_samples=20, seed=5)
-        assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
+        assert a.keys == b.keys and a.lambdas.tolist() == b.lambdas.tolist()
         assert a.lambda_min_expected == b.lambda_min_expected
         blob = json.dumps(a.to_json_dict(), sort_keys=True)
         parsed = json.loads(blob)
@@ -444,16 +442,15 @@ class TestReport:
         q = gen_uniform_q(6, 0.3)
         outputs = []
         for n, k, samples in ((6, 2, 5), (np.int64(6), np.int64(2), np.int64(5))):
-            report = build_report(q, k, n_samples=samples, seed=3, exact=exact,
-                                  closed_form=uniform_closed_form(n, k, 0.3))
-            buf = io.StringIO()
-            report.write_json(buf)
-            outputs.append(buf.getvalue())
+            report = build_report(q, k, n_samples=samples, seed=3, exact=exact)
+            closed = uniform_closed_form(n, k, 0.3).to_json_dict()
+            outputs.append(json.dumps({**report.to_json_dict(), "closed_form": closed},
+                                      indent=2, sort_keys=True))
         assert outputs[0] == outputs[1]
 
     def test_identity_all_ones(self):
         report = build_report(np.eye(9), 3, n_samples=15, seed=1)
-        assert all(s.lambda_min == pytest.approx(1.0, abs=1e-12) for s in report.samples)
+        assert report.lambdas == pytest.approx(1.0, abs=1e-12)
         assert report.lambda_min_expected == pytest.approx(1.0, abs=1e-12)
 
     def test_samples_csv_format(self):
@@ -471,7 +468,7 @@ class TestReport:
         a = build_report(q, 4, n_samples=24, seed=9, threads=1)
         b = build_report(q, 4, n_samples=24, seed=9, threads=4)
         assert a.lambda_min_expected == b.lambda_min_expected
-        assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
+        assert a.lambdas.tolist() == b.lambdas.tolist()
 
     def test_one_factorization_per_partitioning(self, monkeypatch):
         import blockprec.spectral as spectral
@@ -485,7 +482,7 @@ class TestReport:
         monkeypatch.setattr(spectral, "BlockCholesky", CountingCholesky)
         q = gen_uniform_q(6, 0.3)
         report = build_report(q, 2, exact=True)
-        assert len(report.samples) == 10
+        assert len(report.keys) == len(report.lambdas) == 10
         assert built == []  # the distribution and the means are stacked
         build_report(q, 2, n_samples=7, seed=3)
         assert built == []
@@ -581,7 +578,7 @@ class TestFactoredExpectation:
         assert rate_quadratic(q, parts[:1]) * k == pytest.approx(
             congruence_lambda(np.linalg.inv(block_mask(q, parts[0])), q), rel=1e-12)
         w = q @ expected @ q
-        assert rate_general(q, parts, GeneralModelParams()).rho * 2 * k == pytest.approx(
+        assert rate_general(q, parts) * 2 * k == pytest.approx(
             float(np.linalg.eigvalsh(0.5 * (w + w.T))[0]), rel=1e-12)
         if n % k == 0:
             exact = dense_mean_inverse(q, enumerate_partitions(n, k))
@@ -717,7 +714,7 @@ class TestMeanInverseKernel:
         with pytest.raises(InvalidArgumentError, match="2 blocks"):
             rate_glm(np.eye(6), 1.0, 1.0, parts)
         with pytest.raises(InvalidArgumentError, match="2 blocks"):
-            rate_general(np.eye(6), parts, GeneralModelParams())
+            rate_general(np.eye(6), parts)
 
 
 class TestBlockInverses:
@@ -764,11 +761,11 @@ class TestStackedDistribution:
         q = random_spd(n, np.random.default_rng(data.draw(st.integers(0, 2**32))))
         report = build_report(q, k, n_samples=samples, seed=seed)
         violin = derive_seed(seed, 0)
-        assert [s.key for s in report.samples] == [derive_seed(violin, i) for i in range(samples)]
-        for s in report.samples:
-            part = sample_uniform_partition(n, k, s.key)
-            assert s.lambda_min == pytest.approx(lambda_min_precond(q, part), abs=1e-12)
-            assert s.lambda_min == pytest.approx(lambda_min_generalized(q, part), abs=1e-12)
+        assert report.keys == [derive_seed(violin, i) for i in range(samples)]
+        for key, lam in zip(report.keys, report.lambdas):
+            part = sample_uniform_partition(n, k, key)
+            assert lam == pytest.approx(lambda_min_precond(q, part), abs=1e-12)
+            assert lam == pytest.approx(lambda_min_generalized(q, part), abs=1e-12)
 
     @pytest.mark.slow
     def test_exact_spanning_several_chunks(self):
@@ -776,8 +773,8 @@ class TestStackedDistribution:
         q = random_spd(12, np.random.default_rng(5))
         parts = enumerate_partitions(12, 3)
         report = build_report(q, 3, exact=True)
-        assert [s.key for s in report.samples] == list(range(len(parts))) == list(range(5775))
-        got = np.array([s.lambda_min for s in report.samples])
+        assert report.keys == list(range(len(parts))) == list(range(5775))
+        got = report.lambdas
         want = np.array([lambda_min_precond(q, p) for p in parts])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for i in (0, 454, 455, 2888, 5774):
@@ -823,8 +820,7 @@ class TestStackedDistribution:
             a, *others = [build_report(q, k, n_samples=samples, seed=2, exact=exact,
                                        threads=threads) for threads in (1, 2, 3)]
             for b in others:
-                assert [s.lambda_min for s in a.samples] == [s.lambda_min for s in b.samples]
-                assert [s.key for s in a.samples] == [s.key for s in b.samples]
+                assert a.lambdas.tolist() == b.lambdas.tolist() and a.keys == b.keys
                 assert a.lambda_min_expected == b.lambda_min_expected and a.stderr == b.stderr
 
     @pytest.mark.parametrize("exact", [False, True])
@@ -853,7 +849,7 @@ class TestStackedDistribution:
         monkeypatch.setattr(spectral, mean_name, starting_mean)
         got = build_report(q, 3, n_samples=30, seed=5, exact=exact, threads=2)
         assert waited == [True]
-        assert got.samples == want.samples
+        assert got.keys == want.keys and got.lambdas.tolist() == want.lambdas.tolist()
         assert (got.lambda_min_expected, got.stderr) == (want.lambda_min_expected, want.stderr)
 
     @pytest.mark.parametrize("exact", [True, False])
@@ -927,18 +923,17 @@ class TestLanczosDistribution:
         else:
             q = gen_random_corr_q(n, 0.05, n)
         report = build_report(q, k, n_samples=3, seed=n + k)
-        for s in report.samples:
-            part = sample_uniform_partition(n, k, s.key)
-            assert s.lambda_min == pytest.approx(lambda_min_generalized(q, part), rel=1e-10)
-            assert s.lambda_min == pytest.approx(lambda_min_precond(q, part), rel=1e-10)
+        for key, lam in zip(report.keys, report.lambdas):
+            part = sample_uniform_partition(n, k, key)
+            assert lam == pytest.approx(lambda_min_generalized(q, part), rel=1e-10)
+            assert lam == pytest.approx(lambda_min_precond(q, part), rel=1e-10)
 
     @pytest.mark.parametrize("n, k", [(200, 1), (200, 2), (200, 8), (200, 200), (201, 1),
                                       (201, 201), (256, 2), (256, 8), (256, 256)])
     def test_uniform_matches_closed_form(self, n, k):
         report = build_report(gen_uniform_q(n, 0.3), k, n_samples=3, seed=1)
         want = uniform_closed_form(n, k, 0.3).lambda_static
-        for s in report.samples:
-            assert s.lambda_min == pytest.approx(want, abs=1e-12)
+        assert report.lambdas == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("error", [
         scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), np.empty(0)),
@@ -955,9 +950,8 @@ class TestLanczosDistribution:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing_eigsh)
         got = build_report(q, 5, n_samples=4, seed=8)
         assert len(calls) == 4
-        rows = np.stack([sample_uniform_partition(200, 5, s.key).assignment for s in got.samples])
+        rows = np.stack([sample_uniform_partition(200, 5, key).assignment for key in got.keys])
         stack = _lambda_min_stack(q, scipy.linalg.cholesky(q, lower=False), rows)
-        np.testing.assert_allclose([s.lambda_min for s in got.samples], stack, rtol=0, atol=1e-12)
-        np.testing.assert_allclose([s.lambda_min for s in got.samples],
-                                   [s.lambda_min for s in want.samples], rtol=1e-10)
+        np.testing.assert_allclose(got.lambdas, stack, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.lambdas, want.lambdas, rtol=1e-10)
         assert got.lambda_min_expected == want.lambda_min_expected and got.stderr == want.stderr
