@@ -264,7 +264,7 @@ def _build_objective(args):
             rng = np.random.default_rng(derive_seed(args.seed, _TAG_LINEAR))
             return objectives.Quadratic(q, rng.standard_normal(q.shape[0]))
         a = data.factor_sqrt(q)
-        y = data.gen_labels(a, "gaussian", derive_seed(args.seed, _TAG_LABELS))
+        y = data.gen_labels(a, derive_seed(args.seed, _TAG_LABELS))
         if args.objective == "logistic":
             y = np.where(y >= 0.0, 1.0, -1.0)
             return objectives.logistic(a, y, args.reg)

@@ -101,7 +101,6 @@ class Dataset:
 
     a: "scipy.sparse.spmatrix | np.ndarray"
     y: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -133,7 +132,7 @@ def _remap_binary_labels(y):
     return out
 
 
-def read_libsvm(path, n_features=None, logistic_labels=False, name=None):
+def read_libsvm(path, n_features=None, logistic_labels=False):
     """Read a LIBSVM sparse text file into a Dataset.
 
     Each line is ``label idx:val idx:val ...`` with 1-based, strictly
@@ -192,7 +191,7 @@ def read_libsvm(path, n_features=None, logistic_labels=False, name=None):
     y = np.frombuffer(labels)
     if logistic_labels:
         y = _remap_binary_labels(y)
-    return Dataset(a, y, name=name or str(path))
+    return Dataset(a, y)
 
 
 def write_libsvm(path, dataset: Dataset):
@@ -228,29 +227,13 @@ def normalize_columns(dataset: Dataset) -> Dataset:
         a = np.array(a, dtype=float, copy=True)
         norms = np.linalg.norm(a, axis=0)
         a /= np.where(norms > 0.0, norms, 1.0)
-    return Dataset(a, dataset.y, name=dataset.name)
+    return Dataset(a, dataset.y)
 
 
-def gen_labels(a, kind: str, seed: int, x_true=None, noise: float = 0.0, sign: bool = False):
-    """Generate a label vector for a data matrix.
-
-    ``gaussian`` draws y ~ N(0, I_m). ``planted`` sets y = A x_true + eps
-    with eps ~ noise * N(0, I_m), taking the sign when ``sign`` is set
-    (for classification labels). Deterministic given ``seed``.
-    """
+def gen_labels(a, seed: int):
+    """Labels y ~ N(0, I_m) for an m-row data matrix, deterministic given ``seed``."""
     check_seed(seed)
-    m = a.shape[0]
-    rng = np.random.default_rng(seed)
-    if kind == "gaussian":
-        return rng.standard_normal(m)
-    if kind == "planted":
-        if x_true is None:
-            raise InvalidArgumentError("planted labels require x_true")
-        y = np.asarray(a @ x_true, dtype=float).ravel()
-        if noise:
-            y = y + noise * rng.standard_normal(m)
-        return np.sign(y) if sign else y
-    raise InvalidArgumentError(f"unknown label kind {kind!r}")
+    return np.random.default_rng(seed).standard_normal(a.shape[0])
 
 
 def save_q(path, q, metadata=None):

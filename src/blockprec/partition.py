@@ -214,7 +214,7 @@ def _enumerate_assignments(n: int, k: int, cap: int):
     coordinates but the lowest; these and the lowest keep label b - 1, the rest take b.
     """
     count = partition_count(n, k)
-    if count > cap:
+    if count > _check_integer(cap, "cap"):
         raise EnumerationCapError(
             f"{count} partitionings for n={n}, k={k} exceed the cap of {cap}")
     nk = n // k

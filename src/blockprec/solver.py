@@ -231,6 +231,8 @@ def run_repeats(obj, config: SolverConfig, repeats: int, threads: int = 1):
     """
     if _check_integer(repeats, "repeats") < 1:
         raise InvalidArgumentError("repeats must be positive")
+    if _check_integer(threads, "threads") < 1:
+        raise InvalidArgumentError(f"threads must be at least 1, got {threads}")
     configs = [replace(config, seed=derive_seed(config.seed, r))
                for r in range(repeats)]
     # Fill the objective's lazy caches (optimum, Gram) before threads share it.

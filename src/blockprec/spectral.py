@@ -10,10 +10,13 @@ expectation is computed exactly (full enumeration) at small scale and by
 Monte Carlo otherwise, and in closed form for uniform-correlation and
 block-separable structures.
 
-Every lambda_min of a nonsymmetric product X Q is taken on the symmetric
-matrix R X R^T similar to it, with Q = R^T R factored once per call however
-many matrices X it serves: X = Q_P^{-1} for each partitioning of a report's
-distribution, and X = E, a mean of Q_P^{-1}, for an expectation. Both come
+Every rate and expectation is lambda_min(A E A^T) for E, the mean of
+M_P^{-1} over a set of partitionings, and one pair (A, M); one kernel,
+``_mean_congruence``, forms A E A^T. The pairs are (R, Q) with Q = R^T R for
+a quadratic, R E R^T being similar to E Q; (A, A^T A + shift I) for a GLM,
+with R, A^T A = R^T R, in place of a tall A; and (Q, Q) for the general
+model. Q is factored once per call, also for the R X R^T, X = Q_P^{-1}, of
+each partitioning of a report's distribution. E and every Q_P^{-1} come
 from one kernel of diagonal-block inverses: a batched Cholesky per stack of
 same-size blocks (partition's one block layout), then a triangular inverse
 per block. A single lambda_min comes from a subset eigensolve that reads one
@@ -35,7 +38,7 @@ from functools import partial
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.linalg.blas import dtrmm, dtrsv
+from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dtrtri
 
 from .data import _check_alpha
@@ -67,19 +70,6 @@ def _min_eigenvalue(m) -> float:
 def lambda_min_precond(q, part: Partitioning) -> float:
     """Smallest eigenvalue of Q_P^{-1} Q."""
     return _min_eigenvalue(BlockCholesky(diagonal_blocks(q, part), part).whiten(q))
-
-
-def lambda_min_of_expected(expected_inverse, upper) -> float:
-    """Smallest eigenvalue of E Q given a mean-of-inverses E and Q = R^T R, R = ``upper``.
-
-    R E R^T = R (E Q) R^{-1} is similar to E Q and symmetric up to roundoff.
-    """
-    return _min_eigenvalue(_congruence(expected_inverse, upper))
-
-
-def _congruence(x, upper):
-    """R X R^T for R = ``upper``, by two triangular products."""
-    return dtrmm(1.0, upper, dtrmm(1.0, upper, x), side=1, trans_a=1, overwrite_b=1)
 
 
 def _chunk_rows(n, entries_per_row):
@@ -170,6 +160,12 @@ def _mean_inverse(q, assignments):
     return (total / len(assignments)).reshape(n, n)
 
 
+def _mean_congruence(a, m, assignments):
+    """A E A^T, dense, for E = ``_mean_inverse(m, assignments)`` and a dense or sparse A."""
+    e = _mean_inverse(m, assignments)
+    return np.asarray(a @ (a @ e).T)
+
+
 def _lambda_min_stack(q, upper, assignments):
     """lambda_min(Q_P^{-1} Q) for each row of an (S, n) assignment array.
 
@@ -237,7 +233,7 @@ def _lambda_mc(q, upper, assignments):
     s_i = u^T Q_{P_i}^{-1} u average to the estimate, which moves as their
     mean to first order in the sampling error of E; the stderr is std(s)/sqrt(S).
     """
-    (value,), v = scipy.linalg.eigh(_congruence(_mean_inverse(q, assignments), upper),
+    (value,), v = scipy.linalg.eigh(_mean_congruence(upper, q, assignments),
                                     subset_by_index=[0, 0], check_finite=False)
     u = upper.T @ v[:, 0]
     s = np.zeros(len(assignments))
@@ -267,8 +263,7 @@ def expected_lambda_exact(q, k_blocks: int, cap: int = DEFAULT_ENUMERATION_CAP) 
     q = check_symmetric_matrix(q)
     assignments = _enumerate_assignments(q.shape[0], k_blocks, cap)
     # Q is factored first, so if it is not positive definite, _factor's pass replaces the mean's.
-    upper = _factor(q, assignments)
-    return lambda_min_of_expected(_mean_inverse(q, assignments), upper)
+    return _min_eigenvalue(_mean_congruence(_factor(q, assignments), q, assignments))
 
 
 @dataclass(frozen=True)
@@ -358,7 +353,7 @@ def _check_parts(parts, n):
     if not (isinstance(parts, Sequence) and parts
             and all(isinstance(p, Partitioning) for p in parts)):
         raise InvalidArgumentError("parts must be a non-empty sequence of Partitionings")
-    k = parts[0].k_blocks
+    k = int(parts[0].k_blocks)
     for i, p in enumerate(parts):
         if (p.n, p.k_blocks) != (n, k):
             raise InvalidArgumentError(f"partitioning {i} has {p.k_blocks} blocks over {p.n} "
@@ -375,8 +370,7 @@ def rate_quadratic(q, parts) -> float:
     """
     q = check_symmetric_matrix(q)
     k, assignments = _check_parts(parts, q.shape[0])
-    upper = _factor(q, assignments)
-    return lambda_min_of_expected(_mean_inverse(q, assignments), upper) / k
+    return _min_eigenvalue(_mean_congruence(_factor(q, assignments), q, assignments)) / k
 
 
 def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
@@ -387,9 +381,9 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
     M = A^T A (plus ``lambda_shift`` I when its blocks would be singular)
     supplies the masked inverses. For tall A (more rows than columns) the
     zero part of the spectrum of A E A^T is structural, so lambda_min is
-    taken over the n x n product E A^T A through A^T A = R^T R. If such an
+    taken over R E R^T, similar to E A^T A, with A^T A = R^T R. If such an
     A lacks full column rank, A^T A is singular and, E being positive
-    definite, that lambda_min is exactly 0, returned as 0.0.
+    definite, that lambda_min is exactly 0: a zero row R returns 0.0.
     """
     if mu_loss is None:
         raise UnsupportedLossError(
@@ -401,26 +395,24 @@ def rate_glm(a, gamma_loss: float, mu_loss: float | None, parts,
             f"gamma_loss={gamma_loss}, mu_loss={mu_loss}, lambda_shift={lambda_shift}")
     if not scipy.sparse.issparse(a):
         a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise InvalidArgumentError(f"A must be 2-d with at least one row, got shape {a.shape}")
     m_rows, n = a.shape
     k, assignments = _check_parts(parts, n)
     gram = gram_matrix(a)
     shifted = check_symmetric_matrix(gram + lambda_shift * np.eye(n) if lambda_shift else gram)
+    if m_rows > n:
+        try:
+            a = scipy.linalg.cholesky(gram, lower=False, check_finite=False)
+        except scipy.linalg.LinAlgError:  # A^T A is singular and E is positive definite
+            a = np.zeros((1, n))
     try:
-        expected = _mean_inverse(shifted, assignments)
+        lam = _min_eigenvalue(_mean_congruence(a, shifted, assignments))
     except SingularBlockError as exc:
         raise SingularBlockError(
             exc.block, f"{exc}; pass lambda_shift > 0 to regularize the masked blocks"
         ) from exc
-    if m_rows <= n:
-        lam = _min_eigenvalue(np.asarray(a @ (a @ expected).T))
-    else:
-        try:
-            upper = scipy.linalg.cholesky(gram, lower=False, check_finite=False)
-        except scipy.linalg.LinAlgError:  # A^T A is singular and E is positive definite
-            lam = 0.0
-        else:
-            lam = lambda_min_of_expected(expected, upper)
-    return mu_loss / (k * gamma_loss) * lam
+    return float(mu_loss) / (k * float(gamma_loss)) * lam
 
 
 def rate_general(q, parts, xi: float = 1.0) -> float:
@@ -436,7 +428,7 @@ def rate_general(q, parts, xi: float = 1.0) -> float:
         raise InvalidArgumentError(f"xi must lie in (0, 1], got {xi}")
     q = check_symmetric_matrix(q)
     k, assignments = _check_parts(parts, q.shape[0])
-    return float(xi) / (2.0 * k) * _min_eigenvalue(q.T @ _mean_inverse(q, assignments) @ q)
+    return float(xi) / (2.0 * k) * _min_eigenvalue(_mean_congruence(q, q, assignments))
 
 
 @dataclass(eq=False)
@@ -515,6 +507,8 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     both halves raise after that factorization, the mean's error surfaces,
     for any thread count.
     """
+    if _check_integer(threads, "threads") < 1:
+        raise InvalidArgumentError(f"threads must be at least 1, got {threads}")
     q = check_symmetric_matrix(q)
     n, k_blocks = q.shape[0], _check_integer(k_blocks, "k_blocks")
     if exact:
@@ -529,7 +523,7 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
 
     def mean():
         if exact:
-            return lambda_min_of_expected(_mean_inverse(q, mean_rows), upper), None
+            return _min_eigenvalue(_mean_congruence(upper, q, mean_rows)), None
         return _lambda_mc(q, upper, mean_rows)
 
     step = _chunk_rows(n, n * n)

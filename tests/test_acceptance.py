@@ -250,7 +250,7 @@ def test_criterion_5_rate_bound_desk_scale():
 
 
 def _violin_dominance(path, name, expect_shape=None):
-    ds = read_libsvm(path, name=name)
+    ds = read_libsvm(path)
     if expect_shape is not None:
         assert (ds.n_samples, ds.n_features) == expect_shape, (
             f"{name}: expected {expect_shape}, got {(ds.n_samples, ds.n_features)}")
@@ -294,7 +294,7 @@ def test_criterion_7_logistic_ordering_real_data():
         skip_line(7, f"mushroom: {NO_DATASET_MSG}")
         pytest.skip(f"criterion 7 needs mushroom: {NO_DATASET_MSG}")
     start = time.perf_counter()
-    ds = read_libsvm(mushroom, logistic_labels=True, name="mushroom")
+    ds = read_libsvm(mushroom, logistic_labels=True)
     obj = logistic(ds.a, ds.y, lam=1.0)
     finals = {}
     for scheme in ("static", "dynamic"):

@@ -18,7 +18,6 @@ from blockprec import (
     gen_uniform_q,
     load_q,
     read_libsvm,
-    ridge,
     save_q,
     write_libsvm,
 )
@@ -296,33 +295,10 @@ class TestNormalizeColumns:
 class TestLabels:
     def test_gaussian_reproducible(self):
         a = np.zeros((6, 2))
-        x = gen_labels(a, "gaussian", seed=4)
-        y = gen_labels(a, "gaussian", seed=4)
+        x = gen_labels(a, seed=4)
+        y = gen_labels(a, seed=4)
         np.testing.assert_array_equal(x, y)
         assert x.shape == (6,)
-
-    def test_planted_noiseless_recovery(self):
-        # with exact planted labels, unregularized least squares recovers
-        # the planted coefficients
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((20, 6))
-        x_true = rng.standard_normal(6)
-        y = gen_labels(a, "planted", seed=0, x_true=x_true)
-        obj = ridge(a, y, lam=0.0)
-        x_star, f_star = obj.optimum()
-        np.testing.assert_allclose(x_star, x_true, atol=1e-9)
-        assert abs(f_star) <= 1e-18
-
-    def test_planted_sign_labels(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((15, 4))
-        x_true = rng.standard_normal(4)
-        y = gen_labels(a, "planted", seed=1, x_true=x_true, sign=True)
-        assert set(np.unique(y)) <= {-1.0, 1.0}
-
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidArgumentError):
-            gen_labels(np.zeros((2, 2)), "bogus", seed=0)
 
 
 class TestQBinaryFormat:

@@ -10,6 +10,8 @@ from blockprec import (
     SolverConfig,
     build_report,
     derive_seed,
+    enumerate_partitions,
+    expected_lambda_exact,
     expected_lambda_mc,
     gen_labels,
     gen_random_corr_q,
@@ -26,7 +28,7 @@ SEEDED = {
     "derive_seed": lambda seed: derive_seed(seed, 0),
     "sample_uniform_partition": lambda seed: sample_uniform_partition(4, 2, seed),
     "gen_random_corr_q": lambda seed: gen_random_corr_q(4, 0.1, seed),
-    "gen_labels": lambda seed: gen_labels(np.eye(3), "gaussian", seed),
+    "gen_labels": lambda seed: gen_labels(np.eye(3), seed),
     "SolverConfig": lambda seed: SolverConfig(k_blocks=2, seed=seed),
 }
 
@@ -58,8 +60,14 @@ COUNTED = {
     "ArmijoStep": ("max_backtracks", lambda v: ArmijoStep(max_backtracks=v)),
     "run_repeats": ("repeats", lambda v: run_repeats(
         Quadratic(np.eye(2), np.ones(2)), SolverConfig(k_blocks=1), v)),
+    "run_repeats threads": ("threads", lambda v: run_repeats(
+        Quadratic(np.eye(2), np.ones(2)), SolverConfig(k_blocks=1), 1, threads=v)),
     "expected_lambda_mc": ("n_samples", lambda v: expected_lambda_mc(np.eye(3), 3, v, 0)),
     "build_report": ("n_samples", lambda v: build_report(np.eye(3), 3, n_samples=v)),
+    "build_report threads": ("threads", lambda v: build_report(np.eye(3), 3, threads=v)),
+    "build_report cap": ("cap", lambda v: build_report(np.eye(4), 2, exact=True, cap=v)),
+    "expected_lambda_exact cap": ("cap", lambda v: expected_lambda_exact(np.eye(4), 2, v)),
+    "enumerate_partitions cap": ("cap", lambda v: enumerate_partitions(4, 2, v)),
     "uniform_closed_form k_blocks": ("k_blocks", lambda v: uniform_closed_form(10, v, 0.1)),
     "uniform_closed_form n": ("n", lambda v: uniform_closed_form(v, 2, 0.1)),
     "gen_uniform_q": ("n", lambda v: gen_uniform_q(v, 0.1)),
@@ -74,6 +82,13 @@ def test_non_integer_count_rejected_at_the_boundary(name, value):
     argument, call = COUNTED[name]
     with pytest.raises(InvalidArgumentError, match=f"^{argument} must be an integer"):
         call(value)
+
+
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("name", ["build_report threads", "run_repeats threads"])
+def test_threads_below_one_rejected(name, value):
+    with pytest.raises(InvalidArgumentError, match=f"^threads must be at least 1, got {value}$"):
+        COUNTED[name][1](value)
 
 
 def test_integer_types_accepted():

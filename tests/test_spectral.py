@@ -44,8 +44,8 @@ from blockprec.partition import (
 from blockprec.spectral import (
     _block_inverses,
     _lambda_min_stack,
+    _mean_congruence,
     _mean_inverse,
-    lambda_min_of_expected,
 )
 
 
@@ -283,8 +283,8 @@ class TestRates:
         a = random_spd(6, rng)
         gram = a.T @ a
         rho = rate_glm(a, 2.0, 0.5, enumerate_partitions(6, 2))
-        expected_inv = _mean_inverse(gram, _enumerate_assignments(6, 2, DEFAULT_ENUMERATION_CAP))
-        lam = lambda_min_of_expected(expected_inv, scipy.linalg.cholesky(gram))
+        rows = _enumerate_assignments(6, 2, DEFAULT_ENUMERATION_CAP)
+        lam = np.linalg.eigvalsh(_mean_congruence(scipy.linalg.cholesky(gram), gram, rows))[0]
         assert rho == pytest.approx(0.5 / (2 * 2.0) * lam, rel=1e-8)
 
     def test_glm_wide_product_positive(self):
@@ -382,17 +382,28 @@ class TestRates:
             with pytest.raises(InvalidArgumentError, match="non-finite"):
                 rate_glm(data, 1.0, 1.0, enumerate_partitions(4, 2))
 
+    @pytest.mark.parametrize("a", [np.ones(4), np.ones((1, 2, 4)), np.zeros((0, 4)),
+                                   scipy.sparse.csr_matrix((0, 4))])
+    def test_glm_a_not_2d_or_without_rows_rejected(self, a):
+        with pytest.raises(InvalidArgumentError, match="^A must be 2-d with at least one row"):
+            rate_glm(a, 1.0, 1.0, enumerate_partitions(4, 2), lambda_shift=1.0)
+
     @pytest.mark.parametrize("xi", [0.0, -0.5, 1.5, np.nan, np.inf])
     def test_general_xi_checked(self, xi):
         with pytest.raises(InvalidArgumentError, match="xi must lie in"):
             rate_general(np.eye(4), enumerate_partitions(4, 2), xi)
 
-    def test_general_numpy_xi_gives_the_float_rate(self):
+    def test_numpy_scalars_give_float_rates(self):
         q = random_spd(6, np.random.default_rng(11))
         parts = enumerate_partitions(6, 2)
-        got = rate_general(q, parts, np.float32(0.7))
-        assert type(got) is float
-        assert json.dumps(got) == json.dumps(rate_general(q, parts, float(np.float32(0.7))))
+        numpy_k = [Partitioning(p.assignment, np.int64(2)) for p in parts]
+        gamma, mu, xi = np.float32(1.3), np.float32(0.7), np.float32(0.7)
+        for got, want in (
+                (rate_quadratic(q, numpy_k), rate_quadratic(q, parts)),
+                (rate_glm(q, gamma, mu, parts), rate_glm(q, float(gamma), float(mu), parts)),
+                (rate_general(q, parts, xi), rate_general(q, parts, float(xi)))):
+            assert type(got) is float
+            assert json.dumps(got) == json.dumps(want)
 
     def test_general_identity(self):
         part = Partitioning(np.zeros(3, dtype=int), 1)
@@ -564,9 +575,9 @@ class TestFactoredExpectation:
     def test_matches_eigvals_of_product(self, n, k):
         q = random_spd(n, np.random.default_rng(n + k))
         parts = [sample_uniform_partition(n, k, derive_seed(k, i)) for i in range(20)]
-        expected = dense_mean_inverse(q, parts)
-        got = lambda_min_of_expected(expected, scipy.linalg.cholesky(q))
-        assert got == pytest.approx(dense_lambda(expected, q), rel=1e-12)
+        rows = np.stack([p.assignment for p in parts])
+        got = np.linalg.eigvalsh(_mean_congruence(scipy.linalg.cholesky(q), q, rows))[0]
+        assert got == pytest.approx(dense_lambda(dense_mean_inverse(q, parts), q), rel=1e-12)
 
     @pytest.mark.parametrize("n, k", [(6, 2), (6, 3), (7, 2), (13, 3)])
     def test_rates_match_congruence_of_mean(self, n, k):
