@@ -1,6 +1,8 @@
 """Objective functions: quadratic, ridge regression, logistic regression.
 
-Each objective exposes its value, gradient, the diagonal blocks of a
+Each objective exposes its value, gradient, ``evaluate`` (value,
+suboptimality and gradient together, from one product with H or one margin
+pass, which is how the solver records an iterate), the diagonal blocks of a
 curvature-model matrix under a partitioning (all the solver factors; the
 one-block partitioning gives the whole matrix), and its optimum.
 Curvature comes in two flavours: the exact Hessian (which depends on the
@@ -53,7 +55,12 @@ def _check_model(model):
 
 
 class Quadratic:
-    """f(x) = 1/2 x^T H x - c^T x with H symmetric positive definite."""
+    """f(x) = 1/2 x^T H x - c^T x with H symmetric positive definite.
+
+    Value and gradient are taken in the error form of ``evaluate``, from
+    the one product H (x - x*): f - f* does not cancel, and all three
+    agree bit for bit.
+    """
 
     def __init__(self, h, c):
         self.h = check_symmetric_matrix(h)
@@ -66,19 +73,24 @@ class Quadratic:
         except scipy.linalg.LinAlgError:
             raise InvalidArgumentError("H must be positive definite") from None
         x_star = scipy.linalg.cho_solve(factor, self.c, check_finite=False)
-        self._optimum = (x_star, float(self.value(x_star)))
+        self._optimum = (x_star, float(0.5 * x_star @ (self.h @ x_star) - self.c @ x_star))
 
     @property
     def n(self) -> int:
         return self.c.size
 
     def value(self, x) -> float:
-        x = _check_x(x, self.n)
-        return 0.5 * x @ (self.h @ x) - self.c @ x
+        return self.evaluate(x)[0]
 
     def gradient(self, x):
-        x = _check_x(x, self.n)
-        return self.h @ x - self.c
+        return self.evaluate(x)[2]
+
+    def evaluate(self, x):
+        """(f(x), f(x) - f*, grad f(x)) = (f* + 1/2 d^T h, 1/2 d^T h, h), d = x - x*, h = H d."""
+        d = _check_x(x, self.n) - self._optimum[0]
+        h = self.h @ d
+        subopt = 0.5 * float(d @ h)
+        return self._optimum[1] + subopt, subopt, h
 
     def block_curvature(self, x, part, model=EXACT_HESSIAN):
         """Diagonal blocks of H, one stack per block size: ``diagonal_blocks(H, part)``."""
@@ -94,16 +106,6 @@ class Quadratic:
     def optimum(self):
         """Minimizer and minimum value, from the Cholesky factor that validated H."""
         return self._optimum
-
-    def suboptimality(self, x, fx) -> float:
-        """f(x) - f*, evaluated as the error quadratic form, so ``fx`` = f(x) goes unused.
-
-        1/2 (x - x*)^T H (x - x*) equals f(x) - f* exactly and avoids the
-        cancellation of subtracting two nearly equal objective values.
-        """
-        x_star, _ = self.optimum()
-        d = _check_x(x, self.n) - x_star
-        return 0.5 * float(d @ (self.h @ d))
 
 
 class Glm:
@@ -161,9 +163,8 @@ class Glm:
             self._gram = gram_matrix(self.a)
         return self._gram
 
-    def value(self, x) -> float:
-        x = _check_x(x, self.n)
-        v = self._margins(x)
+    def _value_at(self, x, v) -> float:
+        """f(x) from the margins v = A x."""
         reg = 0.5 * self.lam * float(x @ x)
         if self.loss == SQUARED:
             r = v - self.y
@@ -171,14 +172,40 @@ class Glm:
         # log(1 + exp(-y v)) evaluated stably for margins of any size
         return float(np.sum(np.logaddexp(0.0, -self.y * v))) + reg
 
-    def gradient(self, x):
-        x = _check_x(x, self.n)
-        v = self._margins(x)
+    def _gradient_at(self, x, v):
+        """grad f(x) from the margins v = A x."""
         if self.loss == SQUARED:
             g = np.asarray(self.a.T @ (v - self.y), dtype=float).ravel()
         else:
             g = -np.asarray(self.a.T @ (self.y * expit(-self.y * v)), dtype=float).ravel()
         return g + self.lam * x
+
+    def value(self, x) -> float:
+        x = _check_x(x, self.n)
+        return self._value_at(x, self._margins(x))
+
+    def gradient(self, x):
+        x = _check_x(x, self.n)
+        return self._gradient_at(x, self._margins(x))
+
+    def evaluate(self, x):
+        """(f(x), f(x) - f*, grad f(x)) from one margin pass v = A x.
+
+        f - f* is the cancellation-free 1/2 ||A d||^2 + lambda/2 ||d||^2,
+        d = x - x*, for squared loss (a second product) and f(x) - f* for
+        logistic loss.
+        """
+        x = _check_x(x, self.n)
+        v = self._margins(x)
+        fx = self._value_at(x, v)
+        x_star, f_star = self.optimum()
+        if self.loss == SQUARED:
+            d = x - x_star
+            r = self._margins(d)
+            subopt = 0.5 * float(r @ r) + 0.5 * self.lam * float(d @ d)
+        else:
+            subopt = fx - f_star
+        return fx, subopt, self._gradient_at(x, v)
 
     def _hessian_weights(self, x):
         """Row weights sigma(1 - sigma) of the exact logistic Hessian A^T D A at x."""
@@ -291,16 +318,6 @@ class Glm:
             x, fx = x - t * step, f_new
         raise BlockprecError(
             f"Newton reference solve did not converge in {max_iter} iterations")
-
-    def suboptimality(self, x, fx) -> float:
-        """f(x) - f* given ``fx`` = f(x), via the error quadratic form for squared loss."""
-        x = _check_x(x, self.n)
-        x_star, f_star = self.optimum()
-        if self.loss == SQUARED:
-            d = x - x_star
-            r = np.asarray(self.a @ d, dtype=float).ravel()
-            return 0.5 * float(r @ r) + 0.5 * self.lam * float(d @ d)
-        return fx - f_star
 
 
 def ridge(a, y, lam=0.0):

@@ -178,8 +178,10 @@ def _sample_assignments(n: int, k: int, seeds):
     labels = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
     counters = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_GAMMA
     keys = _splitmix64(np.array(seeds, dtype=np.uint64)[:, None] + counters)
+    # The keys of a row are distinct (SplitMix64 is a bijection and the odd
+    # gamma keeps the counters distinct), so any sort gives the same order.
     out = np.empty(keys.shape, dtype=np.intp)
-    np.put_along_axis(out, np.argsort(keys, axis=1, kind="stable"), labels, axis=1)
+    out[np.arange(len(keys))[:, None], np.argsort(keys, axis=1)] = labels
     return out
 
 

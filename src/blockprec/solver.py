@@ -168,8 +168,10 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
     draws a partitioning only when its seed differs from the last step's,
     and factors the objective's ``block_curvature`` (one batched Cholesky
     per stack, no n x n curvature) only when the partitioning changed or
-    the curvature is not constant. Each iterate's value and gradient are
-    evaluated once. A non-finite value aborts the run with a
+    the curvature is not constant. Each iterate is recorded by one
+    ``obj.evaluate(x)`` call, which gives its value, suboptimality and
+    gradient from one product with H or one margin pass; Armijo steps reuse
+    that value and gradient. A non-finite value aborts the run with a
     DivergenceError carrying the partial trace.
     """
     n = obj.n
@@ -190,9 +192,7 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
 
     def record(t):
         """Record iterate t and return its gradient."""
-        fvals[t] = obj.value(x)
-        subopts[t] = obj.suboptimality(x, fvals[t])
-        grad = obj.gradient(x)
+        fvals[t], subopts[t], grad = obj.evaluate(x)
         gradnorms[t] = np.linalg.norm(grad)
         if not np.isfinite(fvals[t]):
             partial = ConvergenceTrace(fvals[:t + 1].copy(), subopts[:t + 1].copy(),

@@ -509,6 +509,7 @@ def build_report(q, k_blocks: int, n_samples: int = 1000, seed: int = 0,
     """
     if _check_integer(threads, "threads") < 1:
         raise InvalidArgumentError(f"threads must be at least 1, got {threads}")
+    _check_integer(cap, "cap")
     q = check_symmetric_matrix(q)
     n, k_blocks = q.shape[0], _check_integer(k_blocks, "k_blocks")
     if exact:

@@ -114,10 +114,25 @@ class TestQuadratic:
         obj = Quadratic(g @ g.T / 12 + 0.2 * np.eye(6), rng.standard_normal(6))
         _, f_star = obj.optimum()
         x = rng.standard_normal(6)
-        fx = obj.value(x)
-        naive = fx - f_star
-        assert obj.suboptimality(x, fx) == pytest.approx(naive, rel=1e-10)
-        assert obj.suboptimality(x, fx) >= 0.0
+        naive = float(0.5 * x @ (obj.h @ x) - obj.c @ x) - f_star
+        assert obj.evaluate(x)[1] == pytest.approx(naive, rel=1e-10)
+        assert obj.evaluate(x)[1] >= 0.0
+
+    def test_evaluate_takes_one_product_with_h(self):
+        products = []
+
+        class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                products.append(ufunc.__name__)
+                return getattr(ufunc, method)(*(np.asarray(v) for v in inputs), **kwargs)
+
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((7, 14))
+        obj = Quadratic(g @ g.T / 14 + 0.2 * np.eye(7), rng.standard_normal(7))
+        obj.h = obj.h.view(Counted)
+        fx, subopt, grad = obj.evaluate(rng.standard_normal(7))
+        assert products == ["matmul"]
+        assert np.isfinite(fx) and subopt > 0.0 and grad.shape == (7,)
 
 
 class TestRidge:
@@ -432,3 +447,32 @@ class TestOptimumIsMinimum:
         probes = x_star + rng.standard_normal((1000, obj.n))
         values = np.array([obj.value(p) for p in probes])
         assert np.all(values >= f_star - 1e-12)
+
+
+class TestEvaluate:
+    """``evaluate(x)`` is (value(x), value(x) - f*, gradient(x)), with f and f - f* as floats."""
+
+    @staticmethod
+    def objectives():
+        rng = np.random.default_rng(31)
+        g = rng.standard_normal((9, 18))
+        yield "quadratic", Quadratic(g @ g.T / 18 + 0.3 * np.eye(9), rng.standard_normal(9))
+        a, y_real, y_pm = random_glm_data(rng)
+        a[np.abs(a) < 0.2] = 0.0
+        for kind, mat in (("dense", a), ("sparse", scipy.sparse.csr_matrix(a))):
+            yield f"ridge {kind}", ridge(mat, y_real, lam=0.4)
+            yield f"logistic {kind}", logistic(mat, y_pm, lam=0.4)
+
+    def test_evaluate_agrees_with_value_and_gradient(self):
+        rng = np.random.default_rng(32)
+        for name, obj in self.objectives():
+            _, f_star = obj.optimum()
+            for x in (np.zeros(obj.n), rng.standard_normal(obj.n)):
+                fx, subopt, grad = obj.evaluate(x)
+                assert type(fx) is float and type(subopt) is float, name
+                assert type(obj.value(x)) is float, name
+                assert fx == obj.value(x), name
+                np.testing.assert_array_equal(grad, obj.gradient(x), err_msg=name)
+                assert subopt == pytest.approx(fx - f_star, rel=1e-12, abs=1e-12), name
+                if name.startswith("logistic"):
+                    assert subopt == fx - f_star

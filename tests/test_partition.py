@@ -15,6 +15,7 @@ from blockprec import (
     SingularBlockError,
     block_mask,
     check_symmetric_matrix,
+    derive_seed,
     diagonal_blocks,
     enumerate_partitions,
     partition_count,
@@ -135,6 +136,20 @@ class TestSampling:
                 for row, seed in zip(got, seeds):
                     np.testing.assert_array_equal(
                         row, sample_uniform_partition(n, k, seed).assignment)
+
+    @pytest.mark.parametrize("n,k", [(400, 8), (13, 3), (50, 3), (7, 7), (1, 1)])
+    def test_array_sampler_matches_stable_sort_reference(self, n, k):
+        # the keys of a row are distinct, so the default sort and the scatter
+        # give what a stable sort and put_along_axis give, row by row
+        seeds = [0, 1, 2**63, 2**64 - 1] + [derive_seed(5, i) for i in range(60)]
+        base, extra = divmod(n, k)
+        labels = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
+        counters = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        keys = np.array([[splitmix64((s + int(c)) & MASK64) for c in counters] for s in seeds],
+                        dtype=np.uint64)
+        want = np.empty(keys.shape, dtype=np.intp)
+        np.put_along_axis(want, np.argsort(keys, axis=1, kind="stable"), labels, axis=1)
+        np.testing.assert_array_equal(_sample_assignments(n, k, seeds), want)
 
     @pytest.mark.parametrize("n,k", [(3, 4), (5, 0), (0, 1)])
     def test_invalid_arguments(self, n, k):

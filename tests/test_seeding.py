@@ -66,6 +66,8 @@ COUNTED = {
     "build_report": ("n_samples", lambda v: build_report(np.eye(3), 3, n_samples=v)),
     "build_report threads": ("threads", lambda v: build_report(np.eye(3), 3, threads=v)),
     "build_report cap": ("cap", lambda v: build_report(np.eye(4), 2, exact=True, cap=v)),
+    "build_report sampled cap": ("cap", lambda v: build_report(np.eye(4), 2, n_samples=3,
+                                                               cap=v)),
     "expected_lambda_exact cap": ("cap", lambda v: expected_lambda_exact(np.eye(4), 2, v)),
     "enumerate_partitions cap": ("cap", lambda v: enumerate_partitions(4, 2, v)),
     "uniform_closed_form k_blocks": ("k_blocks", lambda v: uniform_closed_form(10, v, 0.1)),

@@ -45,6 +45,14 @@ def one_step(obj, x, k, seed, eta):
     return x + trace.x_final
 
 
+def counted(calls, name, method):
+    """``method`` wrapped to add one to ``calls[name]`` per call."""
+    def wrapper(self, *args):
+        calls[name] += 1
+        return method(self, *args)
+    return wrapper
+
+
 class TestStep:
     def test_full_newton_step_reaches_optimum(self):
         rng = np.random.default_rng(0)
@@ -260,22 +268,30 @@ class TestRun:
         a = rng.standard_normal((40, 12))
         obj = logistic(a, np.where(rng.standard_normal(40) >= 0, 1.0, -1.0), lam=1.0)
         obj.optimum()  # the Newton reference forms one-block Hessians; run() forms none
-        calls = {"blocks per curvature": [], "gradient": 0}
-        block_curvature, gradient = Glm.block_curvature, Glm.gradient
+        calls = {"blocks per curvature": [], "evaluate": 0, "gradient": 0}
+        block_curvature = Glm.block_curvature
 
         def counted_block_curvature(self, x, part, model):
             calls["blocks per curvature"].append(part.k_blocks)
             return block_curvature(self, x, part, model)
 
-        def counted_gradient(self, x):
-            calls["gradient"] += 1
-            return gradient(self, x)
-
         monkeypatch.setattr(Glm, "block_curvature", counted_block_curvature)
-        monkeypatch.setattr(Glm, "gradient", counted_gradient)
+        for name in ("evaluate", "gradient"):
+            monkeypatch.setattr(Glm, name, counted(calls, name, getattr(Glm, name)))
         run(obj, SolverConfig(k_blocks=3, scheme=scheme, seed=4, n_iters=7,
                               model=EXACT_HESSIAN, step=step))
-        assert calls == {"blocks per curvature": [3] * 7, "gradient": 8}
+        assert calls == {"blocks per curvature": [3] * 7, "evaluate": 8, "gradient": 0}
+
+    def test_quadratic_run_records_each_iterate_with_evaluate_only(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        g = rng.standard_normal((9, 18))
+        obj = Quadratic(g @ g.T / 18 + 0.3 * np.eye(9), rng.standard_normal(9))
+        calls = dict.fromkeys(("evaluate", "value", "gradient"), 0)
+        for name in calls:
+            monkeypatch.setattr(Quadratic, name, counted(calls, name, getattr(Quadratic, name)))
+        trace = run(obj, SolverConfig(k_blocks=3, scheme="dynamic", seed=5, n_iters=6))
+        assert calls == {"evaluate": 7, "value": 0, "gradient": 0}
+        assert len(trace) == 7
 
     def test_run_repeats_fills_lazy_caches_once(self, monkeypatch):
         # Slow counting wrappers widen the window in which concurrent
