@@ -34,6 +34,9 @@ from .seeding import check_seed, derive_seed
 
 THREADS_ENV = "BLOCKPREC_THREADS"
 
+# Backslash escapes of bash's $'...' quoting.
+_ANSI_C_ESCAPES = str.maketrans({"\\": "\\\\", "'": "\\'", "\n": "\\n", "\r": "\\r"})
+
 # Seed-derivation tags, one namespace per purpose.
 _TAG_LABELS = 101
 _TAG_LINEAR = 102
@@ -183,7 +186,14 @@ def _ensure_parent(path):
 
 
 def _invocation(argv):
-    return "blockprec " + shlex.join(argv)
+    """The command line, shell-quoted, as one line.
+
+    ``shlex.join`` would keep a line break inside its quotes, so an argument
+    holding one is written in bash's ``$'...'`` form instead.
+    """
+    return "blockprec " + " ".join(
+        shlex.quote(arg) if "\n" not in arg and "\r" not in arg
+        else "$'" + arg.translate(_ANSI_C_ESCAPES) + "'" for arg in argv)
 
 
 def cmd_gen(args, argv):
@@ -284,7 +294,7 @@ def _write_scheme_outputs(out, scheme, config, traces, invocation):
     horizon = min(len(t) for t in traces)
     subopts = np.array([t.subopts[:horizon] for t in traces])
     with open(f"{out}_{scheme}_agg.csv", "w", encoding="ascii") as fh:
-        fh.write(f"# {invocation}\n")
+        fh.write(data._comment_line(invocation))
         fh.write("t,subopt_min,subopt_median,subopt_max\n")
         lo = subopts.min(axis=0)
         med = np.median(subopts, axis=0)
@@ -335,7 +345,7 @@ def cmd_sweep(args, argv):
     forms = [spectral.uniform_closed_form(args.n, k, alpha) for k in ks for alpha in alphas]
     _ensure_parent(args.out)
     with open(args.out, "w", encoding="ascii") as fh:
-        fh.write(f"# {_invocation(argv)}\n")
+        fh.write(data._comment_line(_invocation(argv)))
         fh.write("n,K,alpha,epsilon,rho_static,rho_dynamic\n")
         for form in forms:
             fh.write(f"{form.n},{form.k_blocks},{form.alpha!r},{form.epsilon!r},"

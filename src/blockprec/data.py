@@ -22,6 +22,17 @@ _Q_MAGIC = b"BPQ1"
 _Q_HEADER = struct.Struct("<4sI8x")  # magic, u32 order, 8 reserved bytes
 
 
+def _comment_line(comment):
+    """``comment`` as one ``# `` line of a CSV file; InvalidArgumentError if it holds a line break.
+
+    A reader that skips ``#`` lines would take the rest of a multi-line
+    comment for data.
+    """
+    if "\n" in comment or "\r" in comment:
+        raise InvalidArgumentError(f"a comment must be one line, got {comment!r}")
+    return f"# {comment}\n"
+
+
 def _check_alpha(alpha):
     if not 0.0 <= alpha < 1.0:
         raise InvalidArgumentError(f"alpha must lie in [0, 1), got {alpha}")

@@ -7,13 +7,15 @@ makes linear solves against the masked matrix decompose into independent
 per-block solves. One layout, for one partitioning or the rows of an (S, n)
 assignment array alike, groups the blocks of one size into a stack: diagonal
 blocks travel as one (K_s, s, s) array per block size s, gathered by one flat
-take, checked in one vectorized pass and factored by one batched Cholesky.
+take, checked in one vectorized pass (which the solver skips, as its blocks
+come from matrices checked on entry) and factored by one batched Cholesky.
 
 Sampled partitionings come from a counter-based draw: coordinate j of the
 draw with seed d gets the key SplitMix64(d + (j+1) * 0x9E3779B97F4A7C15
 mod 2^64), the coordinates sorted by key form a permutation, and the
-permutation is cut into blocks. Each draw is a pure function of its seed,
-and any number of draws is one vectorized pass over an (S, n) array.
+permutation is cut into blocks, which, each sorted, are also the draw's
+layout. Each draw is a pure function of its seed, and any number of draws
+is one vectorized pass over an (S, n) array.
 """
 
 import itertools
@@ -149,9 +151,27 @@ def sample_uniform_partition(n: int, k: int, seed: int) -> Partitioning:
     bijection on 64-bit words, so no two keys tie. Over seeds the draw is
     uniform over all such assignments up to the quality of the hash.
     Deterministic given ``seed``, an integer in [0, 2^64).
+
+    The chunks, each sorted, are the rows of ``part.stacks()``, so the
+    partitioning comes with its block layout and ``_block_layout`` never
+    runs on it.
     """
     check_seed(seed)
-    return Partitioning(_sample_assignments(n, k, [seed])[0], k)
+    order = _key_order(n, k, [seed])[0]
+    base, extra = divmod(n, k)
+    cut = extra * (base + 1)
+    chunks = [(np.arange(extra, k), order[cut:].reshape(k - extra, base))]
+    if extra:
+        chunks.append((np.arange(extra), order[:cut].reshape(extra, base + 1)))
+    layout = tuple((labels, np.sort(idx, axis=1)) for labels, idx in chunks)
+    assignment = np.empty(n, dtype=np.intp)
+    for labels, idx in layout:
+        assignment[idx] = labels[:, None]
+        labels.setflags(write=False)
+        idx.setflags(write=False)
+    part = Partitioning(assignment, k)
+    object.__setattr__(part, "_stacks", layout)
+    return part
 
 
 _GOLDEN_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -167,21 +187,27 @@ def _splitmix64(z):
     return z
 
 
-def _sample_assignments(n: int, k: int, seeds):
-    """(len(seeds), n) block assignments; row i is ``sample_uniform_partition(n, k, seeds[i])``.
+def _key_order(n: int, k: int, seeds):
+    """(len(seeds), n) coordinates of each draw in ascending key order, one row per seed.
 
     The seeds are not checked here: callers pass checked or derived seeds.
     """
     if not 1 <= _check_integer(k, "k") <= _check_integer(n, "n"):
         raise InvalidArgumentError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    base, extra = divmod(n, k)
-    labels = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
     counters = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_GAMMA
     keys = _splitmix64(np.array(seeds, dtype=np.uint64)[:, None] + counters)
     # The keys of a row are distinct (SplitMix64 is a bijection and the odd
     # gamma keeps the counters distinct), so any sort gives the same order.
-    out = np.empty(keys.shape, dtype=np.intp)
-    out[np.arange(len(keys))[:, None], np.argsort(keys, axis=1)] = labels
+    return np.argsort(keys, axis=1)
+
+
+def _sample_assignments(n: int, k: int, seeds):
+    """(len(seeds), n) block assignments; row i is ``sample_uniform_partition(n, k, seeds[i])``."""
+    order = _key_order(n, k, seeds)
+    base, extra = divmod(n, k)
+    labels = np.repeat(np.arange(k), [base + 1] * extra + [base] * (k - extra))
+    out = np.empty(order.shape, dtype=np.intp)
+    out[np.arange(len(order))[:, None], order] = labels
     return out
 
 
@@ -289,35 +315,63 @@ class BlockCholesky:
 
     Takes the principal blocks Q[P_k, P_k] as one (K_s, s, s) stack per
     entry of ``part.stacks()`` (from ``diagonal_blocks(q, part)`` or an
-    objective's ``block_curvature``), checks and factors each stack in one
-    batched pass, as the spectral kernels do, and exposes the solves and
-    congruences of the solver and the spectral analysis, identical to dense
-    ones against block_mask(Q, P). A failing block is named by
-    ``_raise_first_failure``: the lowest failing label.
+    objective's ``block_curvature``), checks each stack's entries in one
+    vectorized pass, factors it by one batched Cholesky, as the spectral
+    kernels do, and exposes the solves and congruences of the solver and
+    the spectral analysis, identical to dense ones against block_mask(Q, P).
+    A failing block is named by ``_raise_first_failure``: the lowest failing
+    label. ``_factored`` is the same factorization without the entry pass.
     """
 
     def __init__(self, stacks, part: Partitioning):
-        self.part = part
-        self.n = part.n
-        self._stacks = part.stacks()
-        if len(stacks) != len(self._stacks):
+        layout = part.stacks()
+        if len(stacks) != len(layout):
             raise InvalidArgumentError(
-                f"expected {part.k_blocks} blocks in {len(self._stacks)} stacks, one per "
+                f"expected {part.k_blocks} blocks in {len(layout)} stacks, one per "
                 f"block size, got {len(stacks)} stacks")
         stacks = [np.asarray(stack, dtype=float) for stack in stacks]
-        for (labels, idx), stack in zip(self._stacks, stacks):
+        for (labels, idx), stack in zip(layout, stacks):
             want = idx.shape + idx.shape[1:]
             if stack.shape != want:
                 raise InvalidArgumentError(
                     f"the stack of size-{idx.shape[1]} blocks holding block {labels[0]} "
                     f"has shape {stack.shape}, expected {want}")
         if any(_entry_fault(stack) for stack in stacks):
-            _raise_first_failure(self._stacks, stacks, self.n)
+            _raise_first_failure(layout, stacks, part.n)
+        self._factor(stacks, part)
+
+    @classmethod
+    def _factored(cls, stacks, part: Partitioning):
+        """``BlockCholesky(stacks, part)`` for stacks that pass the entry check by construction.
+
+        Skips the shape checks and the entry pass, so a stack must be a
+        float (K_s, s, s) array whose blocks are finite and symmetric: a
+        principal block of a validated matrix, or a block symmetric by
+        construction. A block that fails its Cholesky is still named by
+        ``_raise_first_failure``, which checks its entries first, so such a
+        block raises the public constructor's error.
+        """
+        chol = cls.__new__(cls)
+        chol._factor(stacks, part)
+        return chol
+
+    def _factor(self, stacks, part):
+        """Factor each stack by one batched Cholesky, naming the failing block if one fails.
+
+        LAPACK may let NaN through, but a non-finite entry of a block always
+        leaves a non-finite entry in its factor if the factorization does
+        not fail, so a non-finite factor is a failure too.
+        """
+        self.part = part
+        self.n = part.n
+        self._stacks = part.stacks()
         try:
             self._factors = [np.linalg.cholesky(stack) for stack in stacks]
         except np.linalg.LinAlgError:
             _raise_first_failure(self._stacks, stacks, self.n)
             raise
+        if not all(np.isfinite(factors).all() for factors in self._factors):
+            _raise_first_failure(self._stacks, stacks, self.n)
 
     def _block_factors(self):
         """(idx, L) per block, stack by stack."""

@@ -34,12 +34,18 @@ def check_seed(seed):
 
 
 def derive_seed(base_seed: int, *tags: int) -> int:
-    """Derive a child 64-bit seed from ``base_seed`` and integer tags."""
+    """Derive a child 64-bit seed from ``base_seed`` and integer tags in [-2^127, 2^127).
+
+    Each tag is hashed as a signed 128-bit little-endian integer.
+    """
     check_seed(base_seed)
     h = hashlib.sha256(_DOMAIN)
     h.update(int(base_seed).to_bytes(16, "little", signed=True))
     for tag in tags:
-        h.update(int(tag).to_bytes(16, "little", signed=True))
+        try:
+            h.update(_check_integer(tag, "tag").to_bytes(16, "little", signed=True))
+        except OverflowError:
+            raise InvalidArgumentError(f"tag must lie in [-2^127, 2^127), got {tag}") from None
     return int.from_bytes(h.digest()[:8], "little")
 
 

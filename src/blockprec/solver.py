@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import objectives
+from .data import _comment_line
 from .errors import DivergenceError, InvalidArgumentError, LineSearchError
 from .partition import BlockCholesky, Partitioning, sample_uniform_partition
 from .seeding import _check_integer, check_seed, derive_seed, map_ordered
@@ -160,6 +161,12 @@ def armijo_step_size(obj, x, fx: float, g, d, c1: float, shrink: float,
         f"no step satisfied the Armijo test within {max_backtracks} backtracks")
 
 
+def _check_blocks(obj, config):
+    if config.k_blocks > obj.n:
+        raise InvalidArgumentError(
+            f"k must satisfy 1 <= k <= n, got k={config.k_blocks}, n={obj.n}")
+
+
 def run(obj, config: SolverConfig) -> ConvergenceTrace:
     """Execute one solver run and record its convergence trace.
 
@@ -168,16 +175,19 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
     draws a partitioning only when its seed differs from the last step's,
     and factors the objective's ``block_curvature`` (one batched Cholesky
     per stack, no n x n curvature) only when the partitioning changed or
-    the curvature is not constant. Each iterate is recorded by one
-    ``obj.evaluate(x)`` call, which gives its value, suboptimality and
-    gradient from one product with H or one margin pass; Armijo steps reuse
-    that value and gradient. A non-finite value aborts the run with a
-    DivergenceError carrying the partial trace.
+    the curvature is not constant. A drawn partitioning carries its block
+    layout, and the stacks are factored without ``BlockCholesky``'s entry
+    pass: each is a principal block of a matrix validated when the
+    objective took it, or symmetric by construction, and a block that fails
+    its Cholesky still raises the public constructor's error. Each iterate
+    is recorded by one ``obj.evaluate(x)`` call, which gives its value,
+    suboptimality and gradient from one product with H or one margin pass;
+    Armijo steps reuse that value and gradient. A non-finite value aborts
+    the run with a DivergenceError carrying the partial trace.
     """
     n = obj.n
     t_max = config.n_iters
-    if config.k_blocks > n:
-        raise InvalidArgumentError(f"k must satisfy 1 <= k <= n, got k={config.k_blocks}, n={n}")
+    _check_blocks(obj, config)
     x = np.zeros(n)
     _, f_star = obj.optimum()
 
@@ -207,7 +217,7 @@ def run(obj, config: SolverConfig) -> ConvergenceTrace:
         if new_part:
             part = sample_uniform_partition(n, config.k_blocks, seeds[t])
         if new_part or refactor:
-            chol = BlockCholesky(obj.block_curvature(x, part, config.model), part)
+            chol = BlockCholesky._factored(obj.block_curvature(x, part, config.model), part)
         d = -chol.solve(grad)
         if eta is not None:
             x = x + eta * d
@@ -233,6 +243,7 @@ def run_repeats(obj, config: SolverConfig, repeats: int, threads: int = 1):
         raise InvalidArgumentError("repeats must be positive")
     if _check_integer(threads, "threads") < 1:
         raise InvalidArgumentError(f"threads must be at least 1, got {threads}")
+    _check_blocks(obj, config)
     configs = [replace(config, seed=derive_seed(config.seed, r))
                for r in range(repeats)]
     # Fill the objective's lazy caches (optimum, Gram) before threads share it.
@@ -251,9 +262,9 @@ def run_repeats(obj, config: SolverConfig, repeats: int, threads: int = 1):
 
 
 def write_traces_csv(fh, traces, comment: str | None = None):
-    """Write traces as CSV with header run,t,fval,subopt,gradnorm."""
+    """Write traces as CSV with header run,t,fval,subopt,gradnorm, after a one-line ``comment``."""
     if comment is not None:
-        fh.write(f"# {comment}\n")
+        fh.write(_comment_line(comment))
     fh.write("run,t,fval,subopt,gradnorm\n")
     for run_idx, trace in enumerate(traces):
         for t in range(len(trace)):

@@ -41,7 +41,7 @@ import scipy.sparse
 from scipy.linalg.blas import dtrsv
 from scipy.linalg.lapack import dtrtri
 
-from .data import _check_alpha
+from .data import _check_alpha, _comment_line
 from .errors import InvalidArgumentError, SingularBlockError, UnsupportedLossError
 from .objectives import gram_matrix
 from .partition import (
@@ -478,8 +478,9 @@ class SpectralReport:
         }
 
     def write_samples_csv(self, fh, comment: str | None = None):
+        """Write the eigenvalues as CSV with header lambda_min, after a one-line ``comment``."""
         if comment is not None:
-            fh.write(f"# {comment}\n")
+            fh.write(_comment_line(comment))
         fh.write("lambda_min\n")
         for lam in self.lambdas.tolist():
             fh.write(f"{lam!r}\n")

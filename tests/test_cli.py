@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -453,6 +454,35 @@ class TestSolve:
             text = (tmp_path / f"run{threads}_dynamic_runs.csv").read_text()
             outs[threads] = text.split("\n", 1)[1]  # drop invocation comment
         assert outs[1] == outs[4]
+
+
+    def test_empty_objective_names_k_and_n(self, tmp_path, capsys):
+        (tmp_path / "z.q").write_bytes(struct.pack("<4sI8x", b"BPQ1", 0))
+        assert run_cli("solve", "--objective", "quadratic", "--q", tmp_path / "z.q",
+                       "--k", 1, "--seed", 0, "--t", 2, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == \
+            "blockprec: invalid arguments: k must satisfy 1 <= k <= n, got k=1, n=0\n"
+
+
+@pytest.mark.parametrize("command", ["spectral", "solve", "sweep"])
+def test_out_with_a_line_break_keeps_each_comment_one_line(tmp_path, command):
+    run_cli("gen", "--kind", "uniform", "--n", 4, "--alpha", 0.1, "--seed", 0,
+            "--out", tmp_path / "u")
+    out = str(tmp_path / "a\nb")
+    flags = {"spectral": ("--q", tmp_path / "u.q", "--k", 2, "--seed", 0, "--samples", 3),
+             "solve": ("--objective", "quadratic", "--q", tmp_path / "u.q", "--k", 2,
+                       "--seed", 0, "--t", 2),
+             "sweep": ("--n", 4, "--k-grid", 2, "--alpha-grid", 0.1)}[command]
+    assert run_cli(command, *flags, "--out", out) == 0
+    written = [p for p in tmp_path.iterdir() if p.name.startswith("a\nb") and p.suffix != ".json"]
+    assert len(written) == {"spectral": 1, "solve": 4, "sweep": 1}[command]
+    quoted = "$'" + out.replace("\n", "\\n") + "'"
+    for path in written:
+        comment, header = path.read_text().split("\n")[:2]
+        assert comment.startswith("# blockprec ") and comment.endswith(f"--out {quoted}")
+        assert header in ("lambda_min", "run,t,fval,subopt,gradnorm",
+                          "t,subopt_min,subopt_median,subopt_max",
+                          "n,K,alpha,epsilon,rho_static,rho_dynamic")
 
 
 class TestSweep:

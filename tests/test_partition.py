@@ -151,6 +151,22 @@ class TestSampling:
         np.put_along_axis(want, np.argsort(keys, axis=1, kind="stable"), labels, axis=1)
         np.testing.assert_array_equal(_sample_assignments(n, k, seeds), want)
 
+    @pytest.mark.parametrize("n,k", [(400, 8), (13, 3), (9, 4), (7, 7), (1, 1), (10, 4)])
+    def test_sampled_layout_is_the_block_layout_of_the_assignment(self, n, k):
+        # the draw cuts its keyed sort into the layout: no second sort, same arrays
+        for seed in [0, 1, 2**63, 2**64 - 1] + [derive_seed(6, i) for i in range(30)]:
+            part = sample_uniform_partition(n, k, seed)
+            want = _sample_assignments(n, k, [seed])[0]
+            assert part.assignment.dtype == want.dtype
+            np.testing.assert_array_equal(part.assignment, want)
+            layout = _block_layout(want[None])
+            assert len(part.stacks()) == len(layout)
+            for got, ref in zip(part.stacks(), layout):
+                for got_array, ref_array in zip(got, ref):
+                    assert got_array.dtype == ref_array.dtype
+                    assert not got_array.flags.writeable and not ref_array.flags.writeable
+                    np.testing.assert_array_equal(got_array, ref_array)
+
     @pytest.mark.parametrize("n,k", [(3, 4), (5, 0), (0, 1)])
     def test_invalid_arguments(self, n, k):
         with pytest.raises(InvalidArgumentError):

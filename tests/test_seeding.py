@@ -98,6 +98,35 @@ def test_integer_types_accepted():
     assert derive_seed(1, 0) != derive_seed(2, 0)
 
 
+@pytest.mark.parametrize("args, seed", [
+    ((0,), 11382950694165301396),
+    ((0, 0), 4973760738485052955),
+    ((0, 1), 5035534032997000971),
+    ((0, np.int64(1)), 5035534032997000971),
+    ((0, np.uint8(2)), 4861635292750902095),
+    ((7, 3), 15637881881595917733),
+    ((0, -1), 14334218567713024031),
+    ((0, 2**127 - 1), 11677770690395974384),
+    ((0, -2**127), 3579544662193457274),
+    ((5, 1, 2), 6858901634977775666),
+    ((2**64 - 1, 0, 3), 9077782641326264047),
+])
+def test_derived_seeds_pinned(args, seed):
+    assert derive_seed(*args) == seed
+
+
+@pytest.mark.parametrize("tag", [1.7, 2.0, np.float64(2.0), "3", None])
+def test_non_integer_tag_rejected(tag):
+    with pytest.raises(InvalidArgumentError, match="^tag must be an integer"):
+        derive_seed(0, tag)
+
+
+@pytest.mark.parametrize("tag", [2**127, -2**127 - 1, 2**200])
+def test_tag_outside_128_bits_rejected(tag):
+    with pytest.raises(InvalidArgumentError, match=r"^tag must lie in \[-2\^127, 2\^127\)"):
+        derive_seed(0, 1, tag)
+
+
 def test_map_ordered_submits_every_task_at_once():
     # On two threads task 0 holds one worker until task 16 starts on the
     # other, which a pool fed in batches of 16 tasks never reaches.

@@ -14,9 +14,12 @@ from blockprec import (
     InvalidArgumentError,
     LineSearchError,
     Quadratic,
+    SingularBlockError,
     SolverConfig,
     armijo_step_size,
     block_mask,
+    derive_seed,
+    diagonal_blocks,
     gen_uniform_q,
     ridge,
     run,
@@ -24,7 +27,8 @@ from blockprec import (
     sample_uniform_partition,
     uniform_closed_form,
 )
-from blockprec import solver
+from blockprec import partition, solver
+from blockprec.objectives import gram_matrix
 from blockprec.solver import write_traces_csv, write_traces_json
 
 
@@ -345,6 +349,21 @@ class TestRun:
             finals[scheme] = np.median([t.subopts[-1] for t in traces])
         assert finals["dynamic"] <= finals["static"]
 
+    def test_run_repeats_checks_k_against_n_before_filling_caches(self):
+        obj = Quadratic(np.zeros((0, 0)), np.zeros(0))
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^k must satisfy 1 <= k <= n, got k=1, n=0$"):
+            run_repeats(obj, SolverConfig(k_blocks=1, n_iters=2), 2)
+
+    def test_csv_comment_must_be_one_line(self):
+        trace = run(random_quadratic(4, np.random.default_rng(18)),
+                    SolverConfig(k_blocks=2, scheme="static", seed=0, n_iters=2))
+        for comment in ("two\nlines", "two\rlines"):
+            buf = io.StringIO()
+            with pytest.raises(InvalidArgumentError, match="^a comment must be one line"):
+                write_traces_csv(buf, [trace], comment=comment)
+            assert buf.getvalue() == ""
+
     def test_csv_format(self):
         rng = np.random.default_rng(18)
         obj = random_quadratic(4, rng)
@@ -387,11 +406,84 @@ class TestSchedule:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(solver, "BlockCholesky", counted("builds", BlockCholesky))
+        monkeypatch.setattr(BlockCholesky, "_factored",
+                            counted("builds", BlockCholesky._factored))
         monkeypatch.setattr(solver, "sample_uniform_partition",
                             counted("draws", sample_uniform_partition))
         run(obj, SolverConfig(k_blocks=3, scheme=scheme, seed=6, n_iters=7, model=model))
         assert counts == {"builds": builds, "draws": draws}
+
+    @pytest.mark.parametrize("curvature", ["quadratic", "logistic"])
+    def test_dynamic_step_neither_lays_out_nor_checks_blocks(self, monkeypatch, curvature):
+        from blockprec import logistic
+        rng = np.random.default_rng(26)
+        if curvature == "quadratic":
+            obj = random_quadratic(11, rng)
+        else:
+            a = rng.standard_normal((30, 11))
+            obj = logistic(a, np.where(rng.standard_normal(30) >= 0, 1.0, -1.0), lam=0.5)
+        obj.optimum()  # the Newton reference lays out its one-block partitioning
+        calls = {"_block_layout": 0, "_entry_fault": 0, "cholesky": []}
+        for name in ("_block_layout", "_entry_fault"):
+            def wrapper(*args, name=name, fn=getattr(partition, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(partition, name, wrapper)
+        cholesky = np.linalg.cholesky
+
+        def counted_cholesky(a):
+            calls["cholesky"].append(np.shape(a))
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        run(obj, SolverConfig(k_blocks=3, scheme="dynamic", seed=8, n_iters=7))
+        shapes = [idx.shape + idx.shape[1:] for t in range(7)
+                  for _, idx in sample_uniform_partition(11, 3, derive_seed(8, t)).stacks()]
+        assert calls == {"_block_layout": 0, "_entry_fault": 0, "cholesky": shapes}
+
+    @pytest.mark.parametrize("curvature", ["quadratic", "ridge"])
+    def test_dynamic_run_matches_a_loop_over_the_public_factorization(self, curvature):
+        # K does not divide n, so every partitioning has two block sizes
+        rng = np.random.default_rng(27)
+        if curvature == "quadratic":
+            obj = random_quadratic(11, rng)
+            h = obj.h
+        else:
+            a = rng.standard_normal((30, 10))
+            obj = ridge(a, rng.standard_normal(30), lam=0.5)
+            h = gram_matrix(a) + 0.5 * np.eye(10)
+        trace = run(obj, SolverConfig(k_blocks=3, scheme="dynamic", seed=2, n_iters=9))
+        x = np.zeros(obj.n)
+        for t in range(9):
+            part = sample_uniform_partition(obj.n, 3, derive_seed(2, t))
+            d = -BlockCholesky(diagonal_blocks(h, part), part).solve(obj.gradient(x))
+            x = x + (1 / 3) * d
+        np.testing.assert_array_equal(trace.x_final, x)
+
+    @pytest.mark.parametrize("loss", ["squared", "logistic"])
+    def test_singular_curvature_block_error_unchanged(self, loss):
+        # at lambda = 0 a zero column of A leaves its coordinate no curvature; a
+        # stand-in optimum lets the run reach the block, which the real one refuses
+        from blockprec import logistic
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((20, 9))
+        a[:, 5] = 0.0
+        y = rng.standard_normal(20)
+        obj = ridge(a, y) if loss == "squared" else logistic(a, np.where(y >= 0, 1.0, -1.0))
+        obj.optimum = lambda: (np.zeros(9), 0.0)
+        label = sample_uniform_partition(9, 3, derive_seed(1, 0)).assignment[5]
+        with pytest.raises(SingularBlockError,
+                           match=rf"^block {label} \(size 3\) is not positive definite$") as exc:
+            run(obj, SolverConfig(k_blocks=3, scheme="dynamic", seed=1, n_iters=4))
+        assert exc.value.block == label
+
+    def test_overflowing_curvature_block_named_as_by_the_entry_check(self):
+        # A^T A overflows to inf on coordinate 0; a Cholesky of [[inf]] does not fail
+        obj = ridge(np.diag([1e200, 1.0, 1.0]), np.ones(3), lam=1.0)
+        label = sample_uniform_partition(3, 2, derive_seed(1, 0)).assignment[0]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                InvalidArgumentError, match=f"^block {label} has non-finite entries$"):
+            run(obj, SolverConfig(k_blocks=2, scheme="dynamic", seed=1, n_iters=2))
 
     @pytest.mark.parametrize("n_iters", [0, 1])
     @pytest.mark.parametrize("scheme", ["static", "dynamic"])

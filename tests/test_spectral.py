@@ -474,6 +474,13 @@ class TestReport:
         assert lines[1] == "lambda_min"
         assert len(lines) == 6
 
+    def test_samples_csv_comment_must_be_one_line(self):
+        report = build_report(gen_uniform_q(6, 0.2), 2, n_samples=4, seed=2)
+        buf = io.StringIO()
+        with pytest.raises(InvalidArgumentError, match="^a comment must be one line"):
+            report.write_samples_csv(buf, comment="two\nlines")
+        assert buf.getvalue() == ""
+
     def test_thread_count_invariant(self):
         q = gen_uniform_q(16, 0.4)
         a = build_report(q, 4, n_samples=24, seed=9, threads=1)
